@@ -23,15 +23,6 @@ committed baseline and exits non-zero when any workload regresses more
 than ``--max-regression`` (default 30%) — wall time and RSS are recorded
 but not gated, since absolute speed varies across runner hardware.
 
-The summary also carries an ``lp_scaling`` series: the Fig. 9 workload
-re-run under the space-parallel LP-domain engine (``lp_domains`` 1, 2,
-4; see docs/PARALLEL.md).  Per-domain wall time and speedup-vs-serial
-are recorded with host CPU metadata but *not* gated — speedup is a
-property of the runner's core count.  What **is** gated is the
-tentpole invariant: every partitioned run must produce a packet trace
-byte-identical to the serial one, and any digest mismatch fails the
-run regardless of ``--baseline``.
-
 The script tolerates the pre-refactor testbed API (no
 ``retain_records`` keyword), so the same file can be pointed at an old
 checkout to measure genuine before/after speedups.
@@ -40,12 +31,10 @@ checkout to measure genuine before/after speedups.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import pathlib
 import resource
-import struct
 import sys
 import time
 
@@ -119,79 +108,6 @@ WORKLOADS = (
     ("disruption", workload_disruption),
 )
 
-#: Domain counts for the LP scaling series (1 == the serial engine).
-LP_DOMAIN_SERIES = (1, 2, 4)
-
-
-def _run_lp_point(n_users: int, window_s: float, lp_domains: int):
-    """One Fig. 9 run under ``lp_domains``; returns (wall, events, digest).
-
-    Records are retained (unlike :func:`_run_point`) so the digest can
-    cover U1's full packet stream — the same bytes the golden-trace
-    gate hashes.
-    """
-    from repro.measure.session import Testbed, download_drain_s
-
-    testbed = Testbed("hubs-private", n_users=1, seed=0, lp_domains=lp_domains)
-    join_at = 2.0
-    testbed.start_all(join_at=join_at)
-    testbed.add_peers(n_users - 1, join_times=[join_at] * (n_users - 1))
-    end = join_at + 8.0 + download_drain_s(testbed.profile) + window_s
-    started = time.perf_counter()
-    testbed.run(until=end)
-    wall_s = time.perf_counter() - started
-    engine = testbed.psim if testbed.psim is not None else testbed.sim
-    digest = hashlib.sha256()
-    pack = struct.pack
-    for record in testbed.u1.sniffer.records:
-        digest.update(pack("<d", record.time))
-        digest.update(pack("<i", record.size))
-        digest.update(record.direction.encode())
-    return wall_s, engine.event_count, digest.hexdigest()
-
-
-def run_lp_scaling(quick: bool) -> dict:
-    """Fig. 9 under the LP-domain engine: wall/speedup per domain count."""
-    n_users = 10 if quick else 28
-    window_s = 10.0 if quick else 20.0
-    try:
-        _run_lp_point(2, 1.0, 1)
-    except TypeError:
-        # Pre-refactor testbed: no lp_domains keyword.
-        return {"skipped": "testbed has no lp_domains support"}
-    series = []
-    serial_wall = None
-    serial_digest = None
-    for lp_domains in LP_DOMAIN_SERIES:
-        wall_s, events, digest = _run_lp_point(n_users, window_s, lp_domains)
-        if lp_domains == 1:
-            serial_wall, serial_digest = wall_s, digest
-        point = {
-            "lp_domains": lp_domains,
-            "wall_s": round(wall_s, 3),
-            "events": events,
-            "speedup_vs_serial": round(serial_wall / wall_s, 2),
-            "trace_identical": digest == serial_digest,
-        }
-        series.append(point)
-        print(
-            f"lp_scaling[{lp_domains}]: {wall_s:.2f}s wall "
-            f"({point['speedup_vs_serial']:.2f}x vs serial), "
-            f"trace {'identical' if point['trace_identical'] else 'DIVERGED'}",
-            flush=True,
-        )
-    return {
-        "workload": "fig9_hubs_large",
-        "n_users": n_users,
-        "window_s": window_s,
-        "host_cpus": os.cpu_count(),
-        "note": (
-            "Speedup is bounded by host cores (recorded above) and the "
-            "CPython GIL; trace_identical is the gated invariant."
-        ),
-        "series": series,
-    }
-
 
 def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
@@ -263,30 +179,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     results = run_benchmarks(quick=args.quick)
-    lp_scaling = run_lp_scaling(quick=args.quick)
     payload = {
         "benchmark": "packet_engine",
         "mode": "quick" if args.quick else "full",
         "python": sys.version.split()[0],
+        # Wall time and events/sec depend on the host; record its size.
+        "host_cpus": os.cpu_count(),
         "workloads": results,
-        "lp_scaling": lp_scaling,
     }
     out_path = pathlib.Path(args.out)
     out_path.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {out_path}")
-
-    diverged = [
-        point["lp_domains"]
-        for point in lp_scaling.get("series", ())
-        if not point["trace_identical"]
-    ]
-    if diverged:
-        print(
-            f"REGRESSION: lp_domains={diverged} produced traces that "
-            "differ from the serial engine",
-            file=sys.stderr,
-        )
-        return 1
 
     if args.baseline:
         baseline = json.loads(pathlib.Path(args.baseline).read_text())

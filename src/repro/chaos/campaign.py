@@ -23,6 +23,7 @@ from .inject import FaultInjector
 from .scenarios import SCENARIOS, get_scenario, list_scenarios
 from .verdict import ChaosVerdict, compute_verdict
 
+#: Clients join this long into the run; QoE cells share this pacing.
 JOIN_AT_S = 2.0
 #: Settling time after the per-join download drains, before the fault.
 SETTLE_S = 8.0
@@ -33,14 +34,8 @@ def run_chaos_cell(
     platform: str,
     intensity: str = "mild",
     seed: int = 0,
-    lp_domains: int = 1,
 ) -> ChaosVerdict:
-    """Run one (scenario, platform, intensity, seed) campaign cell.
-
-    ``lp_domains > 1`` runs the cell on the space-parallel kernel (see
-    :mod:`repro.simcore.lp`); fault hooks and the QoE snapshotter fence
-    the domains at their firing times, so the verdict is byte-identical
-    to the serial run."""
+    """Run one (scenario, platform, intensity, seed) campaign cell."""
     spec = get_scenario(scenario)
     spec.params(intensity)  # fail fast on unknown intensity
     # A metrics-only bundle lights up the QoE source counters without
@@ -49,12 +44,10 @@ def run_chaos_cell(
     # instead.  Either way the scores are identical: they derive only
     # from sim-deterministic metric values.
     obs = None if active_collector() is not None else MetricsOnlyObservability()
-    testbed = Testbed(platform, n_users=2, seed=seed, obs=obs, lp_domains=lp_domains)
+    testbed = Testbed(platform, n_users=2, seed=seed, obs=obs)
     testbed.start_all(join_at=JOIN_AT_S)
     probe = QoeProbe(testbed)
     probe.start()
-    # Snapshot ticks read gauges owned by station domains.
-    testbed.add_fence_every(probe.period_s)
     injector = FaultInjector(testbed, spec, intensity)
     fault_at = (
         JOIN_AT_S
@@ -85,15 +78,12 @@ def build_chaos_plan(
     platforms: typing.Optional[typing.Sequence[str]] = None,
     intensities: typing.Optional[typing.Sequence[str]] = None,
     seeds: typing.Iterable[int] = (0,),
-    lp_domains: int = 1,
 ) -> CampaignPlan:
     """Expand the chaos matrix into runner tasks.
 
     Defaults run the full catalog over every platform at every
     intensity.  The ``keep`` filter prunes (scenario, intensity) pairs
-    the catalog does not define, so sparse matrices stay valid.  The
-    default ``lp_domains=1`` is omitted from task kwargs, keeping
-    serial task ids (and their caches) unchanged.
+    the catalog does not define, so sparse matrices stay valid.
     """
     scenario_names = list(scenarios) if scenarios else sorted(SCENARIOS)
     for name in scenario_names:
@@ -107,9 +97,8 @@ def build_chaos_plan(
     def keep(_experiment: str, kwargs: typing.Mapping) -> bool:
         return kwargs["intensity"] in get_scenario(kwargs["scenario"]).intensities
 
-    base = {"lp_domains": lp_domains} if lp_domains != 1 else None
     return CampaignPlan.from_matrix(
-        ["chaos"], grid=grid, seeds=seeds, keep=keep, base_kwargs=base
+        ["chaos"], grid=grid, seeds=seeds, keep=keep
     )
 
 
@@ -145,7 +134,6 @@ def run_chaos_campaign(
     telemetry_path: typing.Optional[str] = None,
     metrics_dir: typing.Optional[str] = None,
     collect_obs: bool = False,
-    lp_domains: int = 1,
 ) -> ChaosCampaignOutcome:
     """Run a chaos matrix through the campaign runner.
 
@@ -154,9 +142,7 @@ def run_chaos_campaign(
     a ``chaos_verdict`` event after the runner's ``campaign_end`` —
     the join point the HTML campaign report uses.
     """
-    plan = build_chaos_plan(
-        scenarios, platforms, intensities, seeds, lp_domains=lp_domains
-    )
+    plan = build_chaos_plan(scenarios, platforms, intensities, seeds)
     with TelemetryWriter(
         telemetry_path, context={"campaign_id": plan.campaign_id}
     ) as telemetry:

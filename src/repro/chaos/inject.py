@@ -62,10 +62,7 @@ class FaultInjector:
             raise RuntimeError("injector already armed")
         self.fault_at = fault_at
         # Snapshot first: same timestamp, earlier sequence number, so it
-        # runs before any fault hook scheduled below.  Under LP-domain
-        # partitioning the snapshot reads drop counters owned by other
-        # domains, so the fault time is also a sync fence.
-        self.testbed.add_fence(fault_at)
+        # runs before any fault hook scheduled below.
         self.sim.schedule_at(fault_at, self._snapshot_drops)
         arm = getattr(self, "_arm_" + self.scenario.kind.replace("-", "_"), None)
         if arm is None:
@@ -76,14 +73,7 @@ class FaultInjector:
         return self.heal_at
 
     def _hook(self, when: float, label: str, fn, *args) -> None:
-        """Schedule ``fn(*args)`` at ``when``, recorded and traced.
-
-        Hooks run on the hub kernel but actuate state owned by station
-        domains (access links, netem qdiscs); each hook time is fenced
-        so under LP partitioning every domain is aligned at exactly
-        ``when`` — the actuation lands between the domain's pre- and
-        post-``when`` events, just as in the serial schedule."""
-        self.testbed.add_fence(when)
+        """Schedule ``fn(*args)`` at ``when``, recorded and traced."""
 
         def fire() -> None:
             self.events.append((round(self.sim.now, 6), label))

@@ -157,21 +157,9 @@ def _build_parser() -> argparse.ArgumentParser:
     platforms = add_parser("platforms", help="list the modelled platforms")
     platforms.set_defaults(handler=_cmd_platforms)
 
-    def add_lp_domains(cmd) -> None:
-        cmd.add_argument(
-            "--lp-domains",
-            type=int,
-            default=1,
-            metavar="N",
-            help="partition each simulation into N LP domains run under "
-            "the space-parallel kernel; output is byte-identical to "
-            "serial (docs/PARALLEL.md)",
-        )
-
     quickstart = add_parser("quickstart", help="run a two-user session")
     quickstart.add_argument("--platform", default="vrchat")
     quickstart.add_argument("--duration", type=float, default=20.0)
-    add_lp_domains(quickstart)
     quickstart.set_defaults(handler=_cmd_quickstart)
 
     table1 = add_parser("table1", help="Table 1: feature comparison")
@@ -195,7 +183,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fig7.add_argument(
         "--users", nargs="*", type=int, default=[1, 2, 5, 10, 15]
     )
-    add_lp_domains(fig7)
     fig7.set_defaults(handler=_cmd_fig7)
 
     viewport = add_parser(
@@ -309,7 +296,6 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--telemetry", default=None, metavar="PATH", help="append JSONL events here"
     )
-    add_lp_domains(chaos)
     chaos.set_defaults(handler=_cmd_chaos, owns_metrics_out=True)
 
     qoe = add_parser(
@@ -366,7 +352,6 @@ def _build_parser() -> argparse.ArgumentParser:
     qoe.add_argument(
         "--telemetry", default=None, metavar="PATH", help="append JSONL events here"
     )
-    add_lp_domains(qoe)
     qoe.set_defaults(handler=_cmd_qoe, owns_metrics_out=True)
 
     trace = add_parser(
@@ -395,7 +380,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="also write the full dump as JSONL here",
     )
-    add_lp_domains(trace)
     trace.set_defaults(handler=_cmd_trace, owns_metrics_out=True)
 
     report = add_parser(
@@ -639,9 +623,7 @@ def _cmd_platforms(args) -> int:
 def _cmd_quickstart(args) -> int:
     from .core.api import run_two_user_session
 
-    result = run_two_user_session(
-        args.platform, duration_s=args.duration, lp_domains=args.lp_domains
-    )
+    result = run_two_user_session(args.platform, duration_s=args.duration)
     print(
         f"{result.platform}: up {result.uplink_kbps:.1f} Kbps, "
         f"down {result.downlink_kbps:.1f} Kbps, {result.fps:.0f} FPS, "
@@ -733,9 +715,7 @@ def _cmd_fig7(args) -> int:
     from .measure.scalability import run_user_sweep
 
     for name in _platform_list(args):
-        points = run_user_sweep(
-            name, user_counts=tuple(args.users), lp_domains=args.lp_domains
-        )
+        points = run_user_sweep(name, user_counts=tuple(args.users))
         rows = [
             [
                 p.n_users,
@@ -927,7 +907,7 @@ def _cmd_campaign(args) -> int:
         plan = CampaignPlan.from_matrix(
             names, grid=_parse_grid(args.param), seeds=_parse_seeds(args.seeds)
         )
-    except KeyError as exc:
+    except (KeyError, ValueError) as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
     with _maybe_live(args):
@@ -1016,7 +996,6 @@ def _cmd_chaos(args) -> int:
                 telemetry_path=args.telemetry,
                 metrics_dir=args.metrics_out,
                 collect_obs=args.profile,
-                lp_domains=args.lp_domains,
             )
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
@@ -1107,7 +1086,6 @@ def _cmd_qoe(args) -> int:
                 telemetry_path=args.telemetry,
                 metrics_dir=args.metrics_out,
                 collect_obs=args.profile,
-                lp_domains=args.lp_domains,
             )
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
@@ -1197,19 +1175,10 @@ def _cmd_trace(args) -> int:
     from .measure.experiment import run_experiment
     from .obs import collect
     from .obs.export import render, write_json, write_jsonl
-    from .runner.plan import experiment_accepts_param, experiment_accepts_seed
+    from .runner.plan import experiment_accepts_seed
 
     try:
         kwargs = {"seed": args.seed} if experiment_accepts_seed(args.experiment) else {}
-        if args.lp_domains != 1:
-            if not experiment_accepts_param(args.experiment, "lp_domains"):
-                print(
-                    f"experiment {args.experiment!r} does not accept "
-                    "--lp-domains",
-                    file=sys.stderr,
-                )
-                return 2
-            kwargs["lp_domains"] = args.lp_domains
         with collect(max_trace_events=args.max_events) as collector:
             run_experiment(args.experiment, **kwargs)
     except KeyError as exc:

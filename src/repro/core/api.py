@@ -84,16 +84,13 @@ class SessionResult:
 
 
 def run_two_user_session(
-    platform: str, duration_s: float = 30.0, seed: int = 0, lp_domains: int = 1
+    platform: str, duration_s: float = 30.0, seed: int = 0
 ) -> SessionResult:
-    """Quickstart: run a two-user session and summarize U1's view.
-
-    ``lp_domains > 1`` runs the session on the space-parallel kernel
-    (docs/PARALLEL.md); the summary is byte-identical to serial."""
+    """Quickstart: run a two-user session and summarize U1's view."""
     from ..capture.sniffer import DOWNLINK, UPLINK
     from ..capture.timeseries import average_kbps
 
-    testbed = Testbed(platform, n_users=2, seed=seed, lp_domains=lp_domains)
+    testbed = Testbed(platform, n_users=2, seed=seed)
     join_at = 2.0
     testbed.start_all(join_at=join_at)
     start = join_at + 10.0 + download_drain_s(testbed.profile)
@@ -196,14 +193,10 @@ def fig7_fig8_user_sweep(
 
 
 def fig9_hubs_large_scale(
-    user_counts: typing.Sequence[int] = (15, 20, 25, 28),
-    seed: int = 0,
-    lp_domains: int = 1,
+    user_counts: typing.Sequence[int] = (15, 20, 25, 28), seed: int = 0
 ) -> typing.List[ScalabilityPoint]:
     """Fig. 9: the 28-user event on the private Hubs server."""
-    return run_hubs_large_scale(
-        user_counts=user_counts, seed=seed, lp_domains=lp_domains
-    )
+    return run_hubs_large_scale(user_counts=user_counts, seed=seed)
 
 
 def fig11_latency_scaling(

@@ -116,7 +116,6 @@ def run_user_sweep(
     user_counts: typing.Sequence[int] = (1, 2, 3, 4, 5, 7, 10, 12, 15),
     window_s: float = 20.0,
     seed: int = 0,
-    lp_domains: int = 1,
 ) -> typing.List[ScalabilityPoint]:
     """Figs. 7/8: measure U1 as the event population grows.
 
@@ -125,10 +124,6 @@ def run_user_sweep(
     on the :mod:`repro.runner` process pool when safe (top-level
     process, no active obs collector) and serially otherwise.  Results
     are identical either way — every point owns its seed.
-
-    ``lp_domains > 1`` runs each point on the space-parallel kernel
-    (:mod:`repro.simcore.lp`); the sweep results are byte-identical to
-    the serial ones for any domain count.
     """
     import multiprocessing
 
@@ -139,21 +134,13 @@ def run_user_sweep(
         # Profile objects are not worth shipping to workers; keep the
         # rare ad-hoc-profile path serial and allocation-free.
         return [
-            _sweep_point(
-                platform, count, window_s, seed=seed + index,
-                lp_domains=lp_domains,
-            )
+            _sweep_point(platform, count, window_s, seed=seed + index)
             for index, count in enumerate(user_counts)
         ]
     specs = [
         TaskSpec.create(
             _sweep_point,
-            {
-                "platform": platform,
-                "n_users": count,
-                "window_s": window_s,
-                "lp_domains": lp_domains,
-            },
+            {"platform": platform, "n_users": count, "window_s": window_s},
             seed=seed + index,
         )
         for index, count in enumerate(user_counts)
@@ -175,12 +162,9 @@ def run_user_sweep(
 
 
 def _sweep_point(
-    platform, n_users: int, window_s: float, seed: int, lp_domains: int = 1
+    platform, n_users: int, window_s: float, seed: int
 ) -> ScalabilityPoint:
-    testbed = Testbed(
-        platform, n_users=1, seed=seed, retain_records=False,
-        lp_domains=lp_domains,
-    )
+    testbed = Testbed(platform, n_users=1, seed=seed, retain_records=False)
     join_at = 2.0
     download_drain = download_drain_s(testbed.profile)
     start = join_at + SETTLE_S + download_drain
@@ -210,15 +194,10 @@ def run_hubs_large_scale(
     user_counts: typing.Sequence[int] = (15, 20, 25, 28),
     window_s: float = 20.0,
     seed: int = 0,
-    lp_domains: int = 1,
 ) -> typing.List[ScalabilityPoint]:
     """Fig. 9: the large-scale event on the private Hubs server."""
     return run_user_sweep(
-        "hubs-private",
-        user_counts=user_counts,
-        window_s=window_s,
-        seed=seed,
-        lp_domains=lp_domains,
+        "hubs-private", user_counts=user_counts, window_s=window_s, seed=seed
     )
 
 

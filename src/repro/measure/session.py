@@ -87,8 +87,6 @@ class Testbed:
         muted: bool = True,
         retain_records: bool = True,
         obs=None,
-        lp_domains: int = 1,
-        lp_executor: str = "threads",
     ) -> None:
         """``retain_records=False`` puts every station's sniffer in
         streaming mode: register accumulators via
@@ -99,16 +97,7 @@ class Testbed:
         ``obs`` is handed straight to the :class:`Simulator` — pass a
         :class:`~repro.obs.MetricsOnlyObservability` to light up the
         metric registry (e.g. for :mod:`repro.qoe`) without the
-        per-event kernel profiling of a full collector.
-
-        ``lp_domains > 1`` partitions the world into that many LP
-        domains (servers + backbone in the hub, stations spread over
-        the rest; see :mod:`repro.measure.partition`) executed under a
-        conservative parallel sync driver.  Merged output is
-        byte-identical to the serial kernel for any domain count —
-        gated by tests/test_lp_domains.py.  ``lp_executor`` picks the
-        wave executor: ``"threads"`` (parallel wall-clock on multi-core
-        hosts) or ``"serial"`` (same schedule, calling thread only)."""
+        per-event kernel profiling of a full collector."""
         if isinstance(platform, PlatformProfile):
             self.profile = platform
         else:
@@ -165,16 +154,6 @@ class Testbed:
             )
         self.peers: typing.List[LightweightPeer] = []
         self.network.build_routes()
-
-        #: Parallel LP driver (None = serial).  Partitioning must happen
-        #: here, before any event is scheduled: everything created at
-        #: runtime (sockets, TCP connections, timers, peers) then lands
-        #: on the right domain kernel by construction.
-        self.psim = None
-        if lp_domains > 1:
-            from .partition import partition_testbed
-
-            self.psim = partition_testbed(self, lp_domains, executor=lp_executor)
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -303,24 +282,7 @@ class Testbed:
 
     def run(self, until: float) -> float:
         """Advance the simulation to absolute time ``until``."""
-        if self.psim is not None:
-            return self.psim.run(until=until)
         return self.sim.run(until=until)
-
-    def add_fence(self, time: float) -> None:
-        """Align all LP domains at ``time`` (no-op when serial).
-
-        Required for hub-scheduled events that read cross-domain state
-        (chaos fault hooks, drop-count snapshots): with the fence, the
-        event observes other domains exactly as-of its timestamp."""
-        if self.psim is not None:
-            self.psim.add_fence(time)
-
-    def add_fence_every(self, period: float, first: typing.Optional[float] = None) -> None:
-        """Recurring :meth:`add_fence` (no-op when serial) — pair with
-        periodic snapshotters sampling cross-domain gauges."""
-        if self.psim is not None:
-            self.psim.add_fence_every(period, first=first)
 
     @property
     def u1(self) -> UserStation:

@@ -64,7 +64,6 @@ class Link:
         "_obs_enabled",
         "_dst_receive",
         "_dst_terminates",
-        "_lp_sink",
     )
 
     def __init__(
@@ -121,11 +120,6 @@ class Link:
         self.down_dropped_packets = 0
         self._obs = obs_of(sim)
         self._obs_enabled = self._obs.enabled
-        #: LP boundary hook: when this link is a cut link between two
-        #: simulation domains, the partitioner installs an envelope sink
-        #: here and deliveries cross as :class:`CrossDomainEvent`s with
-        #: this link's ``delay_s`` exported as the domain lookahead.
-        self._lp_sink = None
         self._dst_receive = dst.receive
         #: Hosts terminate traffic (they expose ``addresses``); routers
         #: and APs forward it on.
@@ -237,14 +231,7 @@ class Link:
             self._last_delivery_at,  # FIFO: jitter must not reorder
         )
         self._last_delivery_at = delivery_at
-        # The delivery time is fully known here on the sending side —
-        # boundary links hand the event to the target domain as an
-        # envelope instead of scheduling on their own kernel.
-        sink = self._lp_sink
-        if sink is None:
-            sim._schedule_callback_at(delivery_at, self._deliver, (packet,))
-        else:
-            sink(delivery_at, self._deliver, (packet,))
+        sim._schedule_callback_at(delivery_at, self._deliver, (packet,))
 
     def _deliver(self, packet: Packet) -> None:
         self.delivered_packets += 1

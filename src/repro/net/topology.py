@@ -10,7 +10,6 @@ the paper's anycast-detection heuristic keys on.
 
 from __future__ import annotations
 
-import dataclasses
 import typing
 
 import networkx as nx
@@ -199,56 +198,6 @@ class Network:
         return total
 
     # ------------------------------------------------------------------
-    # LP-domain partitioning (repro.simcore.lp)
-    # ------------------------------------------------------------------
-    def plan_domains(
-        self, assignment: typing.Mapping[str, int], n_domains: int
-    ) -> "DomainPlan":
-        """Validate a node→domain assignment and identify cut links.
-
-        ``assignment`` maps every node name to a domain index in
-        ``[0, n_domains)``.  A *cut link* is any link whose endpoints sit
-        in different domains; the plan's ``lookahead`` is the minimum
-        propagation ``delay_s`` over all cut links — the conservative
-        sync driver's window bound.  Zero-delay cuts are rejected: they
-        would force zero lookahead, so such links must stay internal to
-        one domain (repartition, don't weaken the guarantee).
-        """
-        if n_domains < 1:
-            raise ValueError(f"n_domains must be >= 1, got {n_domains}")
-        for name in self.nodes:
-            if name not in assignment:
-                raise ValueError(f"node {name!r} missing from domain assignment")
-            domain = assignment[name]
-            if not (0 <= domain < n_domains):
-                raise ValueError(
-                    f"node {name!r} assigned to domain {domain}, "
-                    f"outside [0, {n_domains})"
-                )
-        cut_links: list = []
-        lookahead = None
-        for src_name, dst_name, data in self.graph.edges(data=True):
-            src_domain = assignment[src_name]
-            dst_domain = assignment[dst_name]
-            if src_domain == dst_domain:
-                continue
-            link = data["link"]
-            if not (link.delay_s > 0.0):
-                raise ValueError(
-                    f"cut link {link.name!r} has zero propagation delay; "
-                    "zero-lookahead cuts are not partitionable"
-                )
-            cut_links.append((link, src_domain, dst_domain))
-            if lookahead is None or link.delay_s < lookahead:
-                lookahead = link.delay_s
-        return DomainPlan(
-            assignment=dict(assignment),
-            n_domains=n_domains,
-            cut_links=cut_links,
-            lookahead=lookahead,
-        )
-
-    # ------------------------------------------------------------------
     # Lookup helpers
     # ------------------------------------------------------------------
     def host_by_ip(self, ip: IPAddress) -> typing.Optional[Host]:
@@ -270,34 +219,3 @@ class Network:
 
     def whois(self, ip: IPAddress) -> typing.Optional[str]:
         return self.registry.whois(ip)
-
-
-@dataclasses.dataclass
-class DomainPlan:
-    """A validated LP-domain partition of one network.
-
-    ``lookahead`` is ``None`` when no link crosses a domain boundary
-    (a single-domain plan degenerates to the serial kernel).
-    """
-
-    assignment: dict
-    n_domains: int
-    cut_links: list  # (link, src_domain, dst_domain)
-    lookahead: typing.Optional[float]
-
-    def domain_of(self, node_name: str) -> int:
-        return self.assignment[node_name]
-
-    def members(self, domain: int) -> typing.List[str]:
-        return sorted(
-            name for name, d in self.assignment.items() if d == domain
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        ahead = (
-            f"{self.lookahead * 1000:.3f}ms" if self.lookahead is not None else "n/a"
-        )
-        return (
-            f"DomainPlan(domains={self.n_domains}, cuts={len(self.cut_links)}, "
-            f"lookahead={ahead})"
-        )

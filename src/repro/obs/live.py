@@ -312,6 +312,10 @@ class LiveObsServer:
 def _make_handler(server: LiveObsServer):
     class _Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # Headers and body go out in separate writes; without
+        # TCP_NODELAY, Nagle holds the body until the client's delayed
+        # ACK, stalling every keep-alive request by ~40 ms.
+        disable_nagle_algorithm = True
 
         def log_message(self, *args) -> None:  # pragma: no cover - quiet
             pass

@@ -88,12 +88,6 @@ class PlatformDeployment:
         self.profile = profile
         self.rooms = RoomRegistry(default_capacity=profile.data.room_capacity)
         self._rng = sim.rng(f"server:{profile.name}:{seed_name}")
-        #: LP bridge (repro.simcore.lp.ParallelSimulator), set by the
-        #: partitioner.  Room membership is server-owned state; when a
-        #: client-domain event joins/leaves, the mutation is deferred as
-        #: a timestamped op into the hub domain instead of reaching
-        #: across the boundary mid-window.
-        self._lp = None
 
         # Control plane ------------------------------------------------
         self.control_placement = deploy_placement(
@@ -219,24 +213,6 @@ class PlatformDeployment:
         observed: bool = True,
         pose: typing.Optional[Pose] = None,
     ) -> MemberBinding:
-        caller = self._caller_kernel()
-        if caller is not None:
-            # Client-domain join: build the binding here (the caller
-            # keeps the reference) but apply the membership mutation in
-            # the hub domain at the caller's current timestamp.  A
-            # capacity overflow then raises at the sync barrier rather
-            # than inside the client callback (measurement scenarios
-            # never fill rooms; documented in docs/PARALLEL.md).
-            binding = MemberBinding(
-                user_id=user_id,
-                endpoint=endpoint,
-                server=server,
-                observed=observed,
-                pose=pose,
-                joined_at=caller.now,
-            )
-            self._lp.defer(caller, caller.now, self._apply_join, (room_id, binding))
-            return binding
         binding = MemberBinding(
             user_id=user_id,
             endpoint=endpoint,
@@ -247,28 +223,8 @@ class PlatformDeployment:
         )
         return self.rooms.room(room_id).join(binding)
 
-    def _apply_join(self, room_id: str, binding: MemberBinding) -> None:
-        self.rooms.room(room_id).join(binding)
-
     def leave_room(self, room_id: str, user_id: str) -> None:
-        caller = self._caller_kernel()
-        if caller is not None:
-            self._lp.defer(caller, caller.now, self._apply_leave, (room_id, user_id))
-            return
         self.rooms.room(room_id).leave(user_id)
-
-    def _apply_leave(self, room_id: str, user_id: str) -> None:
-        self.rooms.room(room_id).leave(user_id)
-
-    def _caller_kernel(self):
-        """The non-hub kernel whose window is calling into us, if any."""
-        lp = self._lp
-        if lp is None:
-            return None
-        caller = lp.calling_kernel()
-        if caller is None or caller is self.sim:
-            return None
-        return caller
 
 
 class PlatformClient:

@@ -19,17 +19,13 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from ..chaos.campaign import JOIN_AT_S, SETTLE_S
 from ..measure.session import Testbed, download_drain_s
 from ..obs.context import MetricsOnlyObservability, active_collector
 from ..platforms.profiles import PLATFORM_NAMES
 from ..runner import CampaignPlan, TelemetryWriter, run_campaign
 from .slo import SloReport, SloSpec, evaluate_slo
 from .streams import QoeProbe, UserQoeSummary, WindowScore
-
-#: Clients join this long into the run (same pacing as repro.chaos).
-JOIN_AT_S = 2.0
-#: Settling time after the per-join download before a fault strikes.
-SETTLE_S = 8.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -66,27 +62,19 @@ def run_qoe_cell(
     seed: int = 0,
     scenario: typing.Optional[str] = None,
     intensity: str = "mild",
-    lp_domains: int = 1,
 ) -> QoeCellResult:
     """Score one (platform, seed) cell, optionally under a chaos fault.
 
     ``duration_s`` is the scored in-event time after join + download
     settle; with a ``scenario`` the run instead extends to the
     scenario's observation window past the heal point (matching
-    ``run_chaos_cell`` timing), whichever is later.  ``lp_domains > 1``
-    scores the same cell on the space-parallel kernel
-    (:mod:`repro.simcore.lp`) with snapshot ticks fenced — scores are
-    byte-identical to the serial run.
+    ``run_chaos_cell`` timing), whichever is later.
     """
     obs = None if active_collector() is not None else MetricsOnlyObservability()
-    testbed = Testbed(
-        platform, n_users=n_users, seed=seed, obs=obs, lp_domains=lp_domains
-    )
+    testbed = Testbed(platform, n_users=n_users, seed=seed, obs=obs)
     testbed.start_all(join_at=JOIN_AT_S)
     probe = QoeProbe(testbed)
     probe.start()
-    # Snapshot ticks read gauges owned by station domains.
-    testbed.add_fence_every(probe.period_s)
 
     settle = JOIN_AT_S + SETTLE_S + download_drain_s(testbed.profile)
     end = settle + duration_s
@@ -159,18 +147,12 @@ def build_qoe_plan(
     duration_s: float = 30.0,
     scenario: typing.Optional[str] = None,
     intensity: str = "mild",
-    lp_domains: int = 1,
 ) -> CampaignPlan:
-    """Expand the QoE matrix (platform x seed) into runner tasks.
-
-    The default ``lp_domains=1`` is omitted from task kwargs, keeping
-    serial task ids (and their caches) unchanged."""
+    """Expand the QoE matrix (platform x seed) into runner tasks."""
     base = {"n_users": n_users, "duration_s": duration_s}
     if scenario is not None:
         base["scenario"] = scenario
         base["intensity"] = intensity
-    if lp_domains != 1:
-        base["lp_domains"] = lp_domains
     return CampaignPlan.from_matrix(
         ["qoe-score"],
         grid={"platform": list(platforms) if platforms else list(PLATFORM_NAMES)},
@@ -196,7 +178,6 @@ def run_qoe_campaign(
     telemetry_path: typing.Optional[str] = None,
     metrics_dir: typing.Optional[str] = None,
     collect_obs: bool = False,
-    lp_domains: int = 1,
 ) -> QoeCampaignOutcome:
     """Run a QoE matrix through the campaign runner.
 
@@ -212,7 +193,6 @@ def run_qoe_campaign(
         duration_s=duration_s,
         scenario=scenario,
         intensity=intensity,
-        lp_domains=lp_domains,
     )
     with TelemetryWriter(
         telemetry_path, context={"campaign_id": plan.campaign_id}

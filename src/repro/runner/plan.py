@@ -140,9 +140,21 @@ def experiment_accepts_seed(name: str) -> bool:
     return _accepts_param(name, "seed")
 
 
-def experiment_accepts_param(name: str, param: str) -> bool:
-    """Whether the registered experiment takes a ``param`` keyword."""
-    return _accepts_param(name, param)
+def unaccepted_params(
+    experiments: typing.Sequence[str],
+    grid: typing.Iterable[str] = (),
+    base_kwargs: typing.Iterable[str] = (),
+) -> typing.List[str]:
+    """One message per grid axis or ``base_kwargs`` key that none of
+    ``experiments`` accepts — such a key (a typo, a retired option)
+    would otherwise be dropped and every task run on its default."""
+    listed = ", ".join(experiments)
+    return [
+        f"{kind} {key!r} is accepted by none of the listed experiments ({listed})"
+        for kind, keys in (("grid axis", grid), ("base_kwargs key", base_kwargs))
+        for key in keys
+        if not any(_accepts_param(name, key) for name in experiments)
+    ]
 
 
 def _accepts_param(name: str, param: str) -> bool:
@@ -199,6 +211,8 @@ class CampaignPlan:
         matrix) contribute one task per grid point with ``seed=None``
         instead of one per seed.  Grid points an experiment ignores are
         deduplicated, so it is not re-run once per irrelevant value.
+        A grid axis or ``base_kwargs`` key that *no* listed experiment
+        accepts is a :class:`ValueError` (see :func:`unaccepted_params`).
 
         ``keep(experiment_name, kwargs)`` prunes grid points *before*
         tasks are built — sparse matrices (e.g. a chaos scenario that
@@ -209,9 +223,13 @@ class CampaignPlan:
         seed_list = list(seeds)
         if not seed_list:
             raise ValueError("seeds must be non-empty")
-        tasks = []
         for name in experiments:
             get_experiment(name)  # fail fast on unknown names
+        errors = unaccepted_params(experiments, grid, base_kwargs or {})
+        if errors:
+            raise ValueError("; ".join(errors))
+        tasks = []
+        for name in experiments:
             seeded = experiment_accepts_seed(name)
             axes = [n for n in grid if _accepts_param(name, n)]
             seen = set()

@@ -22,7 +22,8 @@ through one vocabulary::
 
 Validation is deliberately schema-first: :func:`validate_spec` returns
 *every* problem at once (unknown keys, wrong types, unknown experiment
-names, empty seed ranges) so the API can answer a bad submission with
+names, grid axes or ``base_kwargs`` keys no listed experiment accepts,
+empty seed ranges) so the API can answer a bad submission with
 one complete 400 body instead of a guess-and-resubmit loop.
 """
 
@@ -32,6 +33,7 @@ import typing
 
 from ..measure.experiment import get_experiment
 from ..runner import CampaignPlan
+from ..runner.plan import unaccepted_params
 
 #: Every key a campaign spec may carry, with its expected shape.
 SPEC_KEYS = (
@@ -100,26 +102,34 @@ def validate_spec(spec: typing.Any) -> typing.List[str]:
         if key not in SPEC_KEYS:
             errors.append(f"unknown spec key {key!r}")
     experiments = spec.get("experiments")
-    if not isinstance(experiments, list) or not experiments:
+    names_ok = isinstance(experiments, list) and bool(experiments)
+    if not names_ok:
         errors.append("'experiments' must be a non-empty list of registry names")
     else:
         for name in experiments:
             if not isinstance(name, str):
                 errors.append(f"experiment name {name!r} is not a string")
+                names_ok = False
                 continue
             try:
                 get_experiment(name)
             except KeyError as exc:
                 errors.append(str(exc.args[0]))
+                names_ok = False
     grid = spec.get("grid", DEFAULTS["grid"])
     if not isinstance(grid, dict):
         errors.append("'grid' must map parameter names to value lists")
+        grid = {}
     else:
         for axis, values in grid.items():
             if not isinstance(values, list) or not values:
                 errors.append(f"grid axis {axis!r} must be a non-empty list")
-    if not isinstance(spec.get("base_kwargs", DEFAULTS["base_kwargs"]), dict):
+    base_kwargs = spec.get("base_kwargs", DEFAULTS["base_kwargs"])
+    if not isinstance(base_kwargs, dict):
         errors.append("'base_kwargs' must be an object")
+        base_kwargs = {}
+    if names_ok:
+        errors.extend(unaccepted_params(experiments, grid, base_kwargs))
     try:
         parse_seeds(spec.get("seeds", DEFAULTS["seeds"]))
     except (ValueError, TypeError) as exc:

@@ -2,15 +2,11 @@
 
 from .events import ScheduledEvent, Signal
 from .kernel import SimulationError, Simulator
-from .lp import CrossDomainEvent, DomainKernel, ParallelSimulator
 from .process import Process, ProcessKilled, Timeout, Wait
 from .rng import RandomStreams, derive_seed
 from .ticks import TickScheduler, TickTimer
 
 __all__ = [
-    "CrossDomainEvent",
-    "DomainKernel",
-    "ParallelSimulator",
     "ScheduledEvent",
     "Signal",
     "TickScheduler",

@@ -284,26 +284,6 @@ class Simulator:
             self._now = max(self._now, until)
         return self._now
 
-    def next_event_time(self) -> typing.Optional[float]:
-        """Timestamp of the earliest live event, or ``None`` when drained.
-
-        Cancelled entries encountered at the heap head are popped (the
-        same lazy discard the run loop performs), so the answer is exact
-        and repeated peeks stay amortised O(1).
-        """
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            handle = entry[5]
-            if handle is not None and handle.cancelled:
-                heapq.heappop(heap)
-                self._cancelled_in_heap -= 1
-                if self._obs_enabled:
-                    self._cancelled_counter.inc()
-                continue
-            return entry[0]
-        return None
-
     def pending_events(self) -> int:
         """Number of scheduled (non-cancelled) events still in the heap.
 

@@ -16,14 +16,6 @@ interval) or a float (the next delay in seconds — used by jittered
 senders such as the report loop, whose interval is drawn per firing).
 Cancellation is a flag checked at fire time; stale kernel armings are
 tolerated and ignored.
-
-Under LP-domain partitioning (:mod:`repro.simcore.lp`) each domain
-kernel owns its own ``TickScheduler``: a component rebound into a
-domain (``component.sim = kernel``) registers timers through
-``self.sim.ticks``, so per-user timers land on the kernel that owns the
-user — they are *pinned* to the owning domain by construction.  The
-partitioner requires quiescence (see :attr:`TickScheduler.quiescent`)
-before rebinding: a timer registered on one kernel never migrates.
 """
 
 from __future__ import annotations
@@ -94,13 +86,6 @@ class TickScheduler:
     def __len__(self) -> int:
         """Number of live (non-cancelled) timers."""
         return sum(1 for entry in self._heap if not entry[2].cancelled)
-
-    @property
-    def quiescent(self) -> bool:
-        """True when no timer is live and no kernel arming is pending —
-        the state required before components may be rebound to another
-        domain kernel (a registered timer cannot migrate)."""
-        return len(self) == 0 and self._armed_for is None
 
     # ------------------------------------------------------------------
     # Internals

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import http.client
+import time
+import urllib.parse
+
 import pytest
 
 from repro.net.geo import EAST_US, WEST_US
@@ -40,3 +44,20 @@ class SmallWorld:
 @pytest.fixture
 def world(sim):
     return SmallWorld(sim)
+
+
+def keep_alive_seconds(url: str, path: str, n: int = 10) -> float:
+    """Wall time of ``n`` sequential GETs of ``path`` on one keep-alive
+    connection to the HTTP server at ``url``."""
+    parts = urllib.parse.urlsplit(url)
+    conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=5)
+    try:
+        start = time.perf_counter()
+        for _ in range(n):
+            conn.request("GET", path)
+            response = conn.getresponse()
+            response.read()
+            assert response.status == 200
+        return time.perf_counter() - start
+    finally:
+        conn.close()

@@ -97,6 +97,17 @@ def test_campaign_unknown_experiment_is_a_usage_error(capsys):
     assert "unknown experiment" in capsys.readouterr().err
 
 
+def test_campaign_param_no_experiment_accepts_is_a_usage_error(capsys):
+    code = main(
+        ["campaign", "--experiments", "cli-quick", "--param", "scael=2.0", "--serial"]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.strip() == (
+        "grid axis 'scael' is accepted by none of the listed experiments "
+        "(cli-quick)"
+    )
+
+
 def test_campaign_parallel_smoke(tmp_path, capsys):
     """The parallel path through the CLI; stubs are visible to forked
     workers because registration happened in the parent."""

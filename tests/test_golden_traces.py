@@ -42,8 +42,8 @@ GOLDEN_PATH = pathlib.Path(__file__).parent / "golden_traces.json"
 CONFIGS = [(users, seed) for users in (2, 5) for seed in (0, 1)]
 
 
-def _run_testbed(platform: str, total_users: int, seed: int, lp_domains: int = 1):
-    testbed = Testbed(platform, n_users=2, seed=seed, lp_domains=lp_domains)
+def _run_testbed(platform: str, total_users: int, seed: int):
+    testbed = Testbed(platform, n_users=2, seed=seed)
     join_at = 2.0
     testbed.start_all(join_at=join_at)
     if total_users > 2:
@@ -97,10 +97,8 @@ def _flows_digest(records) -> str:
     return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
-def compute_digests(
-    platform: str, total_users: int, seed: int, lp_domains: int = 1
-) -> dict:
-    testbed, start, end = _run_testbed(platform, total_users, seed, lp_domains)
+def compute_digests(platform: str, total_users: int, seed: int) -> dict:
+    testbed, start, end = _run_testbed(platform, total_users, seed)
     digests = {}
     for station in testbed.stations:
         records = station.sniffer.records

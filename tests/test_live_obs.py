@@ -17,6 +17,8 @@ from repro.obs.live import LiveObsServer, active_live_server, live_server
 from repro.runner import CampaignPlan, run_campaign
 from repro.simcore import Simulator
 
+from tests.conftest import keep_alive_seconds
+
 
 def live_sim_stub(seed=0):
     sim = Simulator(seed=seed)
@@ -60,6 +62,13 @@ def test_unknown_route_is_404():
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _get(server.url + "/nope")
         assert excinfo.value.code == 404
+
+
+def test_keep_alive_requests_do_not_stall():
+    """Ten requests on one connection: a delayed-ACK stall (~40 ms
+    each) would take ~0.4 s."""
+    with live_server(port=0) as server:
+        assert keep_alive_seconds(server.url, "/progress") < 0.2
 
 
 def test_campaign_feeds_live_server(tmp_path):

@@ -100,6 +100,21 @@ def test_plan_rejects_unknown_experiment_and_empty_seeds():
         CampaignPlan.from_matrix(["stub-sleep"], seeds=[])
 
 
+def test_plan_rejects_params_no_experiment_accepts():
+    """A key every listed experiment ignores is an error, not a run on
+    defaults; one that some experiment accepts still expands."""
+    with pytest.raises(ValueError, match="grid axis 'scael'"):
+        CampaignPlan.from_matrix(["stub-sleep"], grid={"scael": [1.0]})
+    with pytest.raises(ValueError, match="base_kwargs key 'retired_knob'"):
+        CampaignPlan.from_matrix(
+            ["features", "stub-sleep"], base_kwargs={"retired_knob": 2}
+        )
+    plan = CampaignPlan.from_matrix(
+        ["features", "stub-sleep"], base_kwargs={"scale": 2.0}
+    )
+    assert [dict(t.kwargs) for t in plan] == [{}, {"scale": 2.0}]
+
+
 def test_task_identity_is_canonical():
     a = TaskSpec.create("stub-sleep", {"scale": 2.0, "sleep_s": 0.0}, seed=1)
     b = TaskSpec.create("stub-sleep", {"sleep_s": 0.0, "scale": 2.0}, seed=1)

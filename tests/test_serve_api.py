@@ -7,12 +7,22 @@ run serial so the stub registry below is visible to the worker.
 """
 
 import json
+import math
+import pathlib
 
 import pytest
 
 from repro.measure.experiment import register_experiment, unregister_experiment
 from repro.serve import ServeApiError, ServeClient, ServeDaemon
-from repro.serve.schema import SpecError, normalize_spec, validate_spec
+from repro.serve.schema import (
+    SpecError,
+    normalize_spec,
+    parse_seeds,
+    plan_from_spec,
+    validate_spec,
+)
+
+from tests.conftest import keep_alive_seconds
 
 
 def serve_stub(seed=0, scale=1.0):
@@ -53,6 +63,33 @@ def test_validate_spec_reports_every_problem_at_once():
     assert "grid" in text
     assert "priority" in text
     assert len(errors) >= 4
+
+
+def test_validate_spec_rejects_params_no_experiment_accepts():
+    errors = validate_spec(
+        {
+            "experiments": ["throughput", "forwarding"],
+            "grid": {"n_users": [2, 4, 8], "platforms": [["vrchat"]]},
+            "base_kwargs": {"duration": 20.0},
+        }
+    )
+    assert errors == [
+        "grid axis 'n_users' is accepted by none of the listed experiments "
+        "(throughput, forwarding)",
+        "base_kwargs key 'duration' is accepted by none of the listed "
+        "experiments (throughput, forwarding)",
+    ]
+
+
+def test_serve_doc_example_spec_is_valid():
+    """The example spec in docs/SERVE.md plans every grid point."""
+    doc = (pathlib.Path(__file__).parents[1] / "docs" / "SERVE.md").read_text()
+    example = doc.split("## Campaign specs", 1)[1].split("```json", 1)[1]
+    spec = json.loads(example.split("```", 1)[0])
+    assert validate_spec(spec) == []
+    n_points = math.prod(len(values) for values in spec["grid"].values())
+    n_seeds = len(parse_seeds(spec["seeds"]))
+    assert len(plan_from_spec(spec)) == len(spec["experiments"]) * n_points * n_seeds
 
 
 def test_normalize_spec_expands_seed_shorthand():
@@ -103,6 +140,16 @@ def test_invalid_spec_is_rejected_with_details(client):
     assert excinfo.value.status == 400
     assert excinfo.value.body["error"] == "invalid campaign spec"
     assert len(excinfo.value.body["errors"]) >= 2
+
+
+def test_spec_with_unaccepted_param_is_rejected(client):
+    with pytest.raises(ServeApiError) as excinfo:
+        client.submit({**SPEC, "grid": {"scael": [2.0]}})
+    assert excinfo.value.status == 400
+    assert excinfo.value.body["errors"] == [
+        "grid axis 'scael' is accepted by none of the listed experiments "
+        "(serve-stub)"
+    ]
 
 
 def test_unknown_routes_and_jobs_are_404(client):
@@ -210,6 +257,12 @@ def test_daemon_metrics_rollup_folds_jobs(client):
         assert client.metrics() == second
     finally:
         unregister_experiment("serve-sim-stub")
+
+
+def test_keep_alive_requests_do_not_stall(daemon):
+    """Ten requests on one connection: a delayed-ACK stall (~40 ms
+    each) would take ~0.4 s."""
+    assert keep_alive_seconds(daemon.url, "/v1/jobs") < 0.2
 
 
 def test_live_proxy_conflict_when_no_live_plane(client):
