@@ -5,14 +5,18 @@ Three measurements:
 1. Null-instrument micro-costs — what one counter ``inc()`` / tracer
    ``emit()`` costs when observability is off (shared no-op objects).
 2. An event-storm through the kernel — per-event dispatch cost with
-   obs disabled vs fully enabled (spans + per-callback histograms).
+   obs disabled vs enabled over a zero-sized trace buffer (every span
+   counted as dropped, per-callback histograms kept): exactly the path
+   a full buffer takes.  The test gates its ratio at
+   ``MAX_STORM_RATIO``.
 3. A reference two-user session — end-to-end wall time disabled vs
    enabled, the number the <5 % disabled-overhead acceptance gate is
    about: the disabled path *is* the default path, so its cost is the
    per-event guard measured in (2) against the raw-dispatch floor.
 
 Run standalone (``python benchmarks/bench_obs_overhead.py``) or via
-``pytest benchmarks/bench_obs_overhead.py``.
+``pytest benchmarks/bench_obs_overhead.py`` (which also rewrites
+``benchmarks/RESULTS.txt``).
 """
 
 from __future__ import annotations
@@ -24,6 +28,12 @@ from repro.simcore import Simulator
 
 N_MICRO = 200_000
 N_EVENTS = 100_000
+#: Storm runs per mode; the modes alternate so a host whose speed
+#: drifts between runs slows both alike.
+STORM_REPEATS = 5
+#: Gate: observed dispatch over a full trace buffer may cost at most
+#: this multiple of unobserved dispatch.
+MAX_STORM_RATIO = 2.0
 
 
 def _best_of(fn, repeats: int = 3) -> float:
@@ -67,8 +77,9 @@ def _micro_costs() -> dict:
     }
 
 
-def _event_storm(observed: bool) -> float:
-    """Per-event wall cost of dispatching N_EVENTS trivial callbacks."""
+def _event_storm() -> tuple:
+    """Per-event wall cost of dispatching N_EVENTS trivial callbacks,
+    as ``(obs off, obs on)``."""
 
     def run():
         sim = Simulator(seed=1)
@@ -77,12 +88,15 @@ def _event_storm(observed: bool) -> float:
             sim.schedule_at(float(index), noop)
         sim.run()
 
-    if observed:
-        def run_observed():
-            with collect(max_trace_events=0):
-                run()
-        return _best_of(run_observed) / N_EVENTS
-    return _best_of(run) / N_EVENTS
+    def run_observed():
+        with collect(max_trace_events=0):
+            run()
+
+    disabled = enabled = float("inf")
+    for _ in range(STORM_REPEATS):
+        disabled = min(disabled, _best_of(run, repeats=1))
+        enabled = min(enabled, _best_of(run_observed, repeats=1))
+    return disabled / N_EVENTS, enabled / N_EVENTS
 
 
 def _reference_session(observed: bool) -> float:
@@ -99,14 +113,12 @@ def _reference_session(observed: bool) -> float:
     return _best_of(run, repeats=2)
 
 
-def _report() -> str:
+def _report(micro: dict, storm: tuple) -> str:
     lines = ["observability overhead", "-" * 52]
-    micro = _micro_costs()
     for label, cost in micro.items():
         lines.append(f"{label:<24} {cost * 1e9:8.1f} ns/call")
 
-    disabled = _event_storm(observed=False)
-    enabled = _event_storm(observed=True)
+    disabled, enabled = storm
     lines.append(
         f"{'kernel dispatch (off)':<24} {disabled * 1e9:8.1f} ns/event"
     )
@@ -137,8 +149,14 @@ def test_obs_overhead(paper_report):
     # call; both must stay in the nanosecond range.
     assert micro["guard (cached bool)"] < 1e-6
     assert micro["null counter.inc()"] < 1e-6
-    paper_report("Observability overhead", _report())
+    storm = _event_storm()
+    report = _report(micro, storm)
+    paper_report("Observability overhead", report)
+    # A full trace buffer only counts what it drops, so enabled
+    # observability stays within a small multiple of plain dispatch.
+    disabled, enabled = storm
+    assert enabled / disabled <= MAX_STORM_RATIO, report
 
 
 if __name__ == "__main__":
-    print(_report())
+    print(_report(_micro_costs(), _event_storm()))

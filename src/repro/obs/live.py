@@ -43,6 +43,11 @@ _ACTIVE_SERVER: typing.Optional["LiveObsServer"] = None
 #: Telemetry events that mark a task as no longer running.
 _TERMINAL_TASK_EVENTS = ("task_end", "task_fail", "task_retry")
 
+#: How often ``serve_forever`` checks for a shutdown request.  With the
+#: stdlib default (0.5 s) every ``close()`` could wait that long, and a
+#: serve worker closes a live plane inside each job.
+SERVE_POLL_S = 0.02
+
 
 class LivePortBusyError(OSError):
     """The requested live-observability port could not be bound.
@@ -124,6 +129,7 @@ class LiveObsServer:
         self.port = self._httpd.server_address[1]
         self._serve_thread = threading.Thread(
             target=self._httpd.serve_forever,
+            kwargs={"poll_interval": SERVE_POLL_S},
             name="repro-live-http",
             daemon=True,
         )

@@ -11,7 +11,9 @@ Two event shapes share one bounded buffer:
 
 The buffer is bounded (``max_events``); once full, new events are
 counted in ``dropped`` instead of growing memory without limit — a
-long simulation emits millions of hops.
+long simulation emits millions of hops.  A record the full buffer
+would drop is never built: no flow label, no record dict, no span, no
+clock read — only its kind is counted.
 """
 
 from __future__ import annotations
@@ -90,21 +92,40 @@ class Tracer:
     # ------------------------------------------------------------------
     # Emission
     # ------------------------------------------------------------------
+    def full(self) -> bool:
+        """Whether the buffer is full, so new records are only counted."""
+        return len(self.events) >= self.max_events
+
+    def drop(self, kind: str) -> None:
+        """Count one ``kind`` record that the full buffer does not keep."""
+        self.dropped += 1
+        self.dropped_by_kind[kind] = self.dropped_by_kind.get(kind, 0) + 1
+
     def emit(self, kind: str, **fields) -> None:
         if len(self.events) >= self.max_events:
-            self.dropped += 1
-            self.dropped_by_kind[kind] = self.dropped_by_kind.get(kind, 0) + 1
+            self.drop(kind)
             return
         record = {"t": self.sim_now(), "kind": kind}
         record.update(fields)
         self.events.append(record)
 
-    def span(self, name: str, **fields) -> Span:
-        """Time a region: ``with tracer.span("kernel.dispatch"): ...``."""
+    def span(self, name: str, **fields) -> typing.Union[Span, _NullSpan]:
+        """Time a region: ``with tracer.span("kernel.dispatch"): ...``.
+
+        A span opened while the buffer has room is kept unless the
+        buffer fills before it closes; one opened on a full buffer is
+        counted as dropped here and times nothing.
+        """
+        if len(self.events) >= self.max_events:
+            self.drop("span")
+            return _NULL_SPAN
         return Span(self, name, fields)
 
     def packet_hop(self, hop: str, packet, where: str, **fields) -> None:
         """Record one lifecycle step of ``packet`` at ``where``."""
+        if len(self.events) >= self.max_events:
+            self.drop("hop")
+            return
         self.emit(
             "hop",
             hop=hop,
@@ -170,7 +191,7 @@ class NullTracer(Tracer):
     def emit(self, kind: str, **fields) -> None:
         pass
 
-    def span(self, name: str, **fields) -> _NullSpan:  # type: ignore[override]
+    def span(self, name: str, **fields) -> _NullSpan:
         return _NULL_SPAN
 
     def packet_hop(self, hop: str, packet, where: str, **fields) -> None:

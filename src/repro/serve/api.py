@@ -41,6 +41,7 @@ import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, unquote, urlparse
 
+from ..obs.live import SERVE_POLL_S
 from .queue import QUEUE_FILENAME, Job, JobQueue
 from .schema import SpecError, normalize_spec, plan_from_spec
 from .store import ArtifactStore
@@ -92,7 +93,10 @@ class ServeDaemon:
         self.host = host
         self.port = self._httpd.server_address[1]
         self._serve_thread = threading.Thread(
-            target=self._httpd.serve_forever, name="repro-serve-http", daemon=True
+            target=self._httpd.serve_forever,
+            kwargs={"poll_interval": SERVE_POLL_S},
+            name="repro-serve-http",
+            daemon=True,
         )
         self._started = False
 

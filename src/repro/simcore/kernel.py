@@ -81,6 +81,9 @@ class Simulator:
             self._registry = registry
             self._events_counter = registry.counter("sim.events_dispatched")
             self._cancelled_counter = registry.counter("sim.events_cancelled")
+            #: ``sim.callback_wall_s`` histograms by callback label, so a
+            #: dispatch skips the registry's label sort and key build.
+            self._callback_wall: typing.Dict[str, typing.Any] = {}
             registry.gauge("sim.heap_depth", fn=self.pending_events)
             registry.gauge("sim.now", fn=lambda: self._now)
 
@@ -214,16 +217,32 @@ class Simulator:
         return False
 
     def _dispatch_observed(self, entry: tuple) -> None:
-        """Dispatch one event under the tracer and wall-time profile."""
+        """Dispatch one event under the tracer and wall-time profile.
+
+        Once the trace buffer is full the ``kernel.dispatch`` span is
+        only counted as dropped, never built.
+        """
         callback = entry[3]
         label = getattr(callback, "__qualname__", None) or repr(callback)
         self._events_counter.inc()
-        with self.obs.tracer.span("kernel.dispatch", callback=label):
+        tracer = self.obs.tracer
+        if tracer.full():
+            tracer.drop("span")
             started = _time.perf_counter()
             callback(*entry[4])
-        self._registry.histogram("sim.callback_wall_s", callback=label).observe(
-            _time.perf_counter() - started
-        )
+        else:
+            with tracer.span("kernel.dispatch", callback=label):
+                started = _time.perf_counter()
+                callback(*entry[4])
+        elapsed = _time.perf_counter() - started
+        histogram = self._callback_wall.get(label)
+        if histogram is None:
+            # Created once the label's first dispatch has returned, so
+            # a callback that raises registers no histogram.
+            histogram = self._callback_wall[label] = self._registry.histogram(
+                "sim.callback_wall_s", callback=label
+            )
+        histogram.observe(elapsed)
 
     def run(self, until: typing.Optional[float] = None) -> float:
         """Run events until the heap drains or the clock passes ``until``.
@@ -272,14 +291,27 @@ class Simulator:
         return self._now
 
     def _run_observed(self, until: typing.Optional[float]) -> float:
-        """The instrumented twin of :meth:`run` (span + histogram per event)."""
+        """The instrumented twin of :meth:`run`: the same loop, with each
+        dispatch profiled by :meth:`_dispatch_observed`."""
         heap = self._heap
+        heappop = heapq.heappop
+        dispatch = self._dispatch_observed
+        cancelled_counter = self._cancelled_counter
         while heap:
-            head = heap[0]
-            if until is not None and head[0] > until:
+            entry = heap[0]
+            if until is not None and entry[0] > until:
                 break
-            if not self.step():
-                break
+            heappop(heap)
+            handle = entry[5]
+            if handle is not None:
+                if handle.cancelled:
+                    self._cancelled_in_heap -= 1
+                    cancelled_counter.inc()
+                    continue
+                handle._sim = None
+            self._now = entry[0]
+            self.event_count += 1
+            dispatch(entry)
         if until is not None:
             self._now = max(self._now, until)
         return self._now

@@ -7,6 +7,7 @@ them by reference (same idiom as test_runner.py).
 import json
 import os
 import pickle
+import time
 import urllib.error
 import urllib.request
 
@@ -179,6 +180,15 @@ def test_close_is_idempotent():
     server = LiveObsServer(port=0)
     server.close()
     server.close()
+
+
+def test_close_returns_promptly():
+    """close() must not wait out serve_forever's poll (0.5 s by default)."""
+    server = LiveObsServer(port=0)
+    time.sleep(0.05)
+    started = time.perf_counter()
+    server.close()
+    assert time.perf_counter() - started < 0.2
 
 
 def test_nested_live_server_restores_previous():

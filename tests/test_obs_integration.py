@@ -5,6 +5,7 @@ The stub experiment lives at module level so serial campaign execution
 can pickle it by reference if needed.
 """
 
+import collections
 import json
 import os
 
@@ -293,6 +294,38 @@ def test_observed_run_is_byte_identical_to_unobserved():
     with collect():
         observed = _session_fingerprint()
     assert observed == baseline
+
+
+def _comparable(events):
+    """Trace records without wall-clock times, with packet ids relative
+    to the first one seen (ids come from a process-global counter)."""
+    base = next(event["packet"] for event in events if "packet" in event)
+    records = []
+    for event in events:
+        record = {key: value for key, value in event.items() if key != "wall_s"}
+        if "packet" in record:
+            record["packet"] -= base
+        records.append(record)
+    return records
+
+
+def test_bounded_trace_is_an_exact_prefix_of_the_unbounded_one():
+    from repro.core.api import run_two_user_session
+
+    with collect() as unbounded:
+        run_two_user_session("vrchat", duration_s=5.0, seed=3)
+    with collect(max_trace_events=50) as bounded:
+        run_two_user_session("vrchat", duration_s=5.0, seed=3)
+    full = unbounded.merged_dump()
+    cut = bounded.merged_dump()
+    events = full["trace"]["events"]
+    assert full["trace"]["dropped"] == 0
+    assert len(events) > 50
+    assert _comparable(cut["trace"]["events"]) == _comparable(events[:50])
+    tail = collections.Counter(event["kind"] for event in events[50:])
+    assert cut["trace"]["dropped"] == len(events) - 50
+    assert cut["trace"]["dropped_by_kind"] == dict(sorted(tail.items()))
+    assert cut["metrics"]["counters"] == full["metrics"]["counters"]
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Unit tests for span tracing and packet-lifecycle traces."""
 
-from repro.obs import NULL_TRACER, Tracer
+from repro.obs import NULL_TRACER, Span, Tracer
 
 
 class FakeSim:
@@ -91,6 +91,49 @@ def test_buffer_cap_breaks_drops_down_by_kind():
     assert dump["dropped_by_kind"] == {"hop": 4, "span": 1}
     # Sorted by kind, so dumps are byte-stable across emission orders.
     assert list(dump["dropped_by_kind"]) == ["hop", "span"]
+
+
+class UnreadableSim:
+    """A clock that must not be read."""
+
+    @property
+    def now(self):
+        raise AssertionError("a dropped record read the clock")
+
+
+class UnlabelledPacket:
+    """A packet whose flow label must not be formatted."""
+
+    packet_id = 7
+    size = 100
+
+    @property
+    def flow_label(self):
+        raise AssertionError("a dropped hop formatted its flow label")
+
+
+def test_full_tracer_counts_records_without_building_them():
+    tracer = Tracer(UnreadableSim(), max_events=0)
+    assert tracer.full()
+    tracer.packet_hop("enqueue", UnlabelledPacket(), "l1", backlog=0)
+    assert tracer.dropped_by_kind == {"hop": 1}
+    span = tracer.span("region", tag="a")
+    assert not isinstance(span, Span)
+    assert tracer.dropped_by_kind == {"hop": 1, "span": 1}
+    with span:
+        pass
+    tracer.emit("custom")
+    assert tracer.events == []
+    assert tracer.dropped == 3
+    assert tracer.dropped_by_kind == {"custom": 1, "hop": 1, "span": 1}
+
+
+def test_span_opened_with_room_is_dropped_if_the_buffer_fills():
+    tracer = Tracer(FakeSim(), max_events=1)
+    with tracer.span("region"):
+        tracer.emit("inner")
+    assert [event["kind"] for event in tracer.events] == ["inner"]
+    assert tracer.dropped_by_kind == {"span": 1}
 
 
 def test_select_filters_by_kind():

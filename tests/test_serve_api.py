@@ -9,6 +9,7 @@ run serial so the stub registry below is visible to the worker.
 import json
 import math
 import pathlib
+import time
 
 import pytest
 
@@ -263,6 +264,15 @@ def test_keep_alive_requests_do_not_stall(daemon):
     """Ten requests on one connection: a delayed-ACK stall (~40 ms
     each) would take ~0.4 s."""
     assert keep_alive_seconds(daemon.url, "/v1/jobs") < 0.2
+
+
+def test_close_returns_promptly(tmp_path):
+    """close() must not wait out serve_forever's poll (0.5 s by default)."""
+    daemon = ServeDaemon(tmp_path / "spool", n_workers=0, live_workers=False).start()
+    time.sleep(0.05)
+    started = time.perf_counter()
+    daemon.close()
+    assert time.perf_counter() - started < 0.2
 
 
 def test_live_proxy_conflict_when_no_live_plane(client):

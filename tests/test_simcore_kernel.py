@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs import Observability
 from repro.simcore import SimulationError, Simulator
 
 
@@ -74,6 +75,21 @@ def test_run_until_stops_clock_exactly(sim):
     stopped = sim.run(until=5.0)
     assert stopped == 5.0
     assert sim.now == 5.0
+    assert sim.pending_events() == 1
+
+
+@pytest.mark.parametrize("observed", [False, True])
+def test_run_until_ignores_events_behind_a_cancelled_head(observed):
+    """Skipping a cancelled head must not dispatch a live event past
+    ``until``; observed and unobserved runs stop in the same place."""
+    sim = Simulator(seed=0, obs=Observability() if observed else None)
+    fired = []
+    cancelled = sim.schedule(1.0, fired.append, "A")
+    sim.schedule(5.0, fired.append, "B")
+    cancelled.cancel()
+    assert sim.run(until=2.0) == 2.0
+    assert fired == []
+    assert sim.now == 2.0
     assert sim.pending_events() == 1
 
 
