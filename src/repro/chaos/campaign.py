@@ -1,17 +1,21 @@
-"""Chaos campaign driver: fault x intensity x platform matrices.
+"""Scenario-cell campaigns: fault x intensity x platform matrices.
 
-One campaign cell (:func:`run_chaos_cell`) builds a fresh two-user
-testbed, arms one scenario at one intensity, runs to the end of the
-observation window, and returns the :class:`ChaosVerdict`.  The cell is
-a plain module-level function, registered as the ``chaos`` experiment,
-so the whole matrix flows through :mod:`repro.runner`: cached,
+One scenario cell (:func:`run_scenario_cell`) builds a fresh testbed,
+rides a :class:`QoeProbe` over it, optionally arms one chaos scenario
+at one intensity, and runs to the end of the observation window.  The
+``chaos`` experiment (:func:`run_chaos_cell`) judges that run as a
+:class:`ChaosVerdict`; the ``qoe-score`` experiment
+(:func:`repro.qoe.campaign.run_qoe_cell`) scores its windows.  Both are
+plain module-level functions, so whole matrices flow through
+:mod:`repro.runner` (:func:`run_cell_campaign`): cached,
 crash-isolated, retried, and parallelized exactly like every other
-campaign — and byte-identical verdicts regardless of worker count.
+campaign — and byte-identical results regardless of worker count.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import operator
 import typing
 
 from ..measure.session import Testbed, download_drain_s
@@ -23,10 +27,50 @@ from .inject import FaultInjector
 from .scenarios import SCENARIOS, get_scenario, list_scenarios
 from .verdict import ChaosVerdict, compute_verdict
 
-#: Clients join this long into the run; QoE cells share this pacing.
+#: Clients join this long into the run.
 JOIN_AT_S = 2.0
 #: Settling time after the per-join download drains, before the fault.
 SETTLE_S = 8.0
+
+
+def run_scenario_cell(
+    platform: str,
+    seed: int,
+    n_users: int,
+    scenario: typing.Optional[str],
+    intensity: str,
+    duration_s: float,
+) -> typing.Tuple[Testbed, QoeProbe, typing.Optional[FaultInjector], float]:
+    """Run one probed testbed; returns ``(testbed, probe, injector, end)``.
+
+    The run lasts ``duration_s`` past join + download settle.  A
+    ``scenario`` is armed ``fault_offset_s`` after the settle point and
+    extends the run to ``observe_s`` past its heal, whichever is later;
+    without one, ``injector`` is ``None``.
+    """
+    spec = None
+    if scenario is not None:
+        spec = get_scenario(scenario)
+        spec.params(intensity)  # fail fast on unknown intensity
+    # A metrics-only bundle lights up the QoE source counters without
+    # kernel profiling; under an active collector (campaign worker with
+    # metrics_dir, CLI --profile) the collector's full obs applies
+    # instead.  Either way the scores are identical: they derive only
+    # from sim-deterministic metric values.
+    obs = None if active_collector() is not None else MetricsOnlyObservability()
+    testbed = Testbed(platform, n_users=n_users, seed=seed, obs=obs)
+    testbed.start_all(join_at=JOIN_AT_S)
+    probe = QoeProbe(testbed)
+    probe.start()
+    settle = JOIN_AT_S + SETTLE_S + download_drain_s(testbed.profile)
+    end = settle + duration_s
+    injector = None
+    if spec is not None:
+        injector = FaultInjector(testbed, spec, intensity)
+        heal_at = injector.arm(settle + spec.fault_offset_s)
+        end = max(end, heal_at + spec.observe_s)
+    testbed.run(until=end)
+    return testbed, probe, injector, end
 
 
 def run_chaos_cell(
@@ -36,28 +80,10 @@ def run_chaos_cell(
     seed: int = 0,
 ) -> ChaosVerdict:
     """Run one (scenario, platform, intensity, seed) campaign cell."""
-    spec = get_scenario(scenario)
-    spec.params(intensity)  # fail fast on unknown intensity
-    # A metrics-only bundle lights up the QoE source counters without
-    # kernel profiling; under an active collector (campaign worker with
-    # metrics_dir, CLI --profile) the collector's full obs applies
-    # instead.  Either way the scores are identical: they derive only
-    # from sim-deterministic metric values.
-    obs = None if active_collector() is not None else MetricsOnlyObservability()
-    testbed = Testbed(platform, n_users=2, seed=seed, obs=obs)
-    testbed.start_all(join_at=JOIN_AT_S)
-    probe = QoeProbe(testbed)
-    probe.start()
-    injector = FaultInjector(testbed, spec, intensity)
-    fault_at = (
-        JOIN_AT_S
-        + SETTLE_S
-        + download_drain_s(testbed.profile)
-        + spec.fault_offset_s
+    spec = get_scenario(scenario)  # a chaos cell always has a fault
+    testbed, probe, injector, end = run_scenario_cell(
+        platform, seed, 2, scenario, intensity, 0.0
     )
-    heal_at = injector.arm(fault_at)
-    end = heal_at + spec.observe_s
-    testbed.run(until=end)
     return compute_verdict(
         testbed, injector, spec, intensity, seed, end, qoe_probe=probe
     )
@@ -83,15 +109,24 @@ def build_chaos_plan(
 
     Defaults run the full catalog over every platform at every
     intensity.  The ``keep`` filter prunes (scenario, intensity) pairs
-    the catalog does not define, so sparse matrices stay valid.
+    the catalog does not define, so sparse matrices stay valid; a
+    matrix left with no pair at all is a ``ValueError``.
     """
     scenario_names = list(scenarios) if scenarios else sorted(SCENARIOS)
-    for name in scenario_names:
-        get_scenario(name)  # fail fast on unknown scenarios
+    specs = [get_scenario(name) for name in scenario_names]  # fail fast
+    intensity_list = list(intensities) if intensities else intensity_names()
+    if not any(i in spec.intensities for spec in specs for i in intensity_list):
+        defined = "; ".join(
+            f"{spec.name} [{'/'.join(spec.intensity_names)}]" for spec in specs
+        )
+        raise ValueError(
+            f"intensities {', '.join(intensity_list)} select no chaos cell; "
+            f"the selected scenarios define: {defined}"
+        )
     grid = {
         "scenario": scenario_names,
         "platform": list(platforms) if platforms else list(PLATFORM_NAMES),
-        "intensity": list(intensities) if intensities else intensity_names(),
+        "intensity": intensity_list,
     }
 
     def keep(_experiment: str, kwargs: typing.Mapping) -> bool:
@@ -100,6 +135,67 @@ def build_chaos_plan(
     return CampaignPlan.from_matrix(
         ["chaos"], grid=grid, seeds=seeds, keep=keep
     )
+
+
+#: The :func:`repro.runner.run_campaign` options a scenario-cell
+#: campaign passes through (the driver opens ``telemetry_path`` itself).
+RUNNER_OPTIONS = frozenset(
+    {
+        "parallel", "max_workers", "timeout_s", "max_retries", "cache_dir",
+        "use_cache", "telemetry_path", "metrics_dir", "collect_obs",
+    }
+)
+
+
+def run_cell_campaign(
+    plan: CampaignPlan,
+    cell_type: type,
+    sort_key: typing.Callable,
+    event: str,
+    fields: typing.Sequence[str],
+    **runner_options,
+) -> typing.Tuple[typing.Any, list]:
+    """Run a plan of scenario cells; returns ``(campaign, cells)``.
+
+    ``cells`` are the successful ``cell_type`` results, stamped with
+    the correlation ids of the campaign that ran them and sorted by
+    ``sort_key`` into a canonical, shard-independent order.  The driver
+    owns the telemetry stream: every event carries the plan-derived
+    ``campaign_id``, and each cell is echoed as one ``event`` carrying
+    its task id and ``fields`` after the runner's ``campaign_end`` —
+    the join point the HTML campaign report uses.  ``runner_options``
+    (named in :data:`RUNNER_OPTIONS`) go to :func:`run_campaign`.
+    """
+    unknown = sorted(set(runner_options) - RUNNER_OPTIONS)
+    if unknown:
+        raise TypeError(f"unexpected runner option(s): {', '.join(unknown)}")
+    telemetry_path = runner_options.pop("telemetry_path", None)
+    with TelemetryWriter(
+        telemetry_path, context={"campaign_id": plan.campaign_id}
+    ) as telemetry:
+        campaign = run_campaign(plan, telemetry=telemetry, **runner_options)
+        cells = []
+        for result in campaign:
+            if not (result.ok and isinstance(result.value, cell_type)):
+                continue
+            cell = result.value
+            try:
+                cell = dataclasses.replace(
+                    cell,
+                    campaign_id=plan.campaign_id,
+                    task_id=result.spec.task_id,
+                )
+            except (AttributeError, TypeError):  # cached pre-correlation pickle
+                pass
+            cells.append(cell)
+        cells.sort(key=sort_key)
+        for cell in cells:
+            telemetry.emit(
+                event,
+                task=cell.task_id,
+                **{name: getattr(cell, name) for name in fields},
+            )
+    return campaign, cells
 
 
 @dataclasses.dataclass
@@ -124,75 +220,19 @@ def run_chaos_campaign(
     platforms: typing.Optional[typing.Sequence[str]] = None,
     intensities: typing.Optional[typing.Sequence[str]] = None,
     seeds: typing.Iterable[int] = (0,),
-    *,
-    parallel: bool = True,
-    max_workers: typing.Optional[int] = None,
-    timeout_s: typing.Optional[float] = None,
-    max_retries: int = 2,
-    cache_dir: typing.Optional[str] = None,
-    use_cache: bool = True,
-    telemetry_path: typing.Optional[str] = None,
-    metrics_dir: typing.Optional[str] = None,
-    collect_obs: bool = False,
+    **runner_options,
 ) -> ChaosCampaignOutcome:
-    """Run a chaos matrix through the campaign runner.
-
-    The driver owns the telemetry stream: every event carries the
-    plan-derived ``campaign_id``, and each completed cell is echoed as
-    a ``chaos_verdict`` event after the runner's ``campaign_end`` —
-    the join point the HTML campaign report uses.
-    """
-    plan = build_chaos_plan(scenarios, platforms, intensities, seeds)
-    with TelemetryWriter(
-        telemetry_path, context={"campaign_id": plan.campaign_id}
-    ) as telemetry:
-        campaign = run_campaign(
-            plan,
-            parallel=parallel,
-            max_workers=max_workers,
-            timeout_s=timeout_s,
-            max_retries=max_retries,
-            cache_dir=cache_dir,
-            use_cache=use_cache,
-            telemetry=telemetry,
-            metrics_dir=metrics_dir,
-            collect_obs=collect_obs,
-        )
-        verdicts = _ordered_verdicts(campaign, plan.campaign_id)
-        for verdict in verdicts:
-            telemetry.emit(
-                "chaos_verdict",
-                task=verdict.task_id,
-                scenario=verdict.scenario,
-                platform=verdict.platform,
-                intensity=verdict.intensity,
-                seed=verdict.seed,
-                passed=verdict.passed,
-                recovered=verdict.recovered,
-                recovery_time_s=verdict.recovery_time_s,
-                session_survival_rate=verdict.session_survival_rate,
-            )
-    return ChaosCampaignOutcome(campaign=campaign, verdicts=verdicts)
-
-
-def _ordered_verdicts(campaign, campaign_id: str = "") -> typing.List[ChaosVerdict]:
-    """Successful verdicts in a canonical, shard-independent order,
-    stamped with the correlation ids of the campaign that ran them."""
-    verdicts = []
-    for result in campaign:
-        if not (result.ok and isinstance(result.value, ChaosVerdict)):
-            continue
-        verdict = result.value
-        try:
-            verdict = dataclasses.replace(
-                verdict,
-                campaign_id=campaign_id,
-                task_id=result.spec.task_id,
-            )
-        except (AttributeError, TypeError):  # cached pre-correlation pickle
-            pass
-        verdicts.append(verdict)
-    verdicts.sort(
-        key=lambda v: (v.scenario, v.platform, v.intensity, v.seed)
+    """Run a chaos matrix through :func:`run_cell_campaign`, echoing
+    each verdict as a ``chaos_verdict`` telemetry event."""
+    campaign, verdicts = run_cell_campaign(
+        build_chaos_plan(scenarios, platforms, intensities, seeds),
+        ChaosVerdict,
+        operator.attrgetter("scenario", "platform", "intensity", "seed"),
+        "chaos_verdict",
+        (
+            "scenario", "platform", "intensity", "seed",
+            "passed", "recovered", "recovery_time_s", "session_survival_rate",
+        ),
+        **runner_options,
     )
-    return verdicts
+    return ChaosCampaignOutcome(campaign=campaign, verdicts=verdicts)

@@ -147,10 +147,28 @@ def _build_parser() -> argparse.ArgumentParser:
         "executes: GET /metrics (Prometheus), /progress (JSON), "
         "/events (SSE); 0 picks a free port (docs/OBSERVABILITY.md)",
     )
+    runner = argparse.ArgumentParser(add_help=False)
+    runner.add_argument(
+        "--seeds",
+        default="1",
+        help="seed range: a count N (seeds 0..N-1) or an A:B half-open range",
+    )
+    runner.add_argument("--workers", type=int, default=None)
+    runner.add_argument(
+        "--serial", action="store_true", help="run in-process, in plan order"
+    )
+    runner.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
+    runner.add_argument("--retries", type=int, default=2)
+    runner.add_argument("--cache-dir", default=".repro-cache")
+    runner.add_argument(
+        "--no-cache", action="store_true", help="always execute; never read or write the cache"
+    )
+    runner.add_argument(
+        "--telemetry", default=None, metavar="PATH", help="append JSONL events here"
+    )
 
-    def add_parser(name: str, live_plane: bool = False, **kwargs):
-        parents = [common, live] if live_plane else [common]
-        return sub.add_parser(name, parents=parents, **kwargs)
+    def add_parser(name: str, *parents, **kwargs):
+        return sub.add_parser(name, parents=[common, *parents], **kwargs)
 
     sub = parser.add_subparsers(dest="command")
 
@@ -210,7 +228,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     campaign = add_parser(
         "campaign",
-        live_plane=True,
+        live,
+        runner,
         help="run an experiment matrix in parallel with caching + telemetry",
     )
     campaign.add_argument(
@@ -218,11 +237,6 @@ def _build_parser() -> argparse.ArgumentParser:
         nargs="+",
         required=True,
         help="registry names, or 'all' for every registered experiment",
-    )
-    campaign.add_argument(
-        "--seeds",
-        default="1",
-        help="seed range: a count N (seeds 0..N-1) or an A:B half-open range",
     )
     campaign.add_argument(
         "--param",
@@ -234,24 +248,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "'platforms=[[\"vrchat\"],[\"worlds\"]]' (repeat the flag for "
         "more axes; an axis only applies to experiments accepting it)",
     )
-    campaign.add_argument("--workers", type=int, default=None)
-    campaign.add_argument(
-        "--serial", action="store_true", help="run in-process, in plan order"
-    )
-    campaign.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
-    campaign.add_argument("--retries", type=int, default=2)
-    campaign.add_argument("--cache-dir", default=".repro-cache")
-    campaign.add_argument(
-        "--no-cache", action="store_true", help="always execute; never read or write the cache"
-    )
-    campaign.add_argument(
-        "--telemetry", default=None, metavar="PATH", help="append JSONL events here"
-    )
     campaign.set_defaults(handler=_cmd_campaign, owns_metrics_out=True)
 
     chaos = add_parser(
         "chaos",
-        live_plane=True,
+        live,
+        runner,
         help="run fault-injection resiliency campaigns (docs/CHAOS.md)",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog=_chaos_catalog_text(),
@@ -278,29 +280,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="intensity levels; scenario/intensity pairs the catalog "
         "does not define are skipped (default: every level)",
     )
-    chaos.add_argument(
-        "--seeds",
-        default="1",
-        help="seed range: a count N (seeds 0..N-1) or an A:B half-open range",
-    )
-    chaos.add_argument("--workers", type=int, default=None)
-    chaos.add_argument(
-        "--serial", action="store_true", help="run in-process, in plan order"
-    )
-    chaos.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
-    chaos.add_argument("--retries", type=int, default=2)
-    chaos.add_argument("--cache-dir", default=".repro-cache")
-    chaos.add_argument(
-        "--no-cache", action="store_true", help="always execute; never read or write the cache"
-    )
-    chaos.add_argument(
-        "--telemetry", default=None, metavar="PATH", help="append JSONL events here"
-    )
     chaos.set_defaults(handler=_cmd_chaos, owns_metrics_out=True)
 
     qoe = add_parser(
         "qoe",
-        live_plane=True,
+        live,
+        runner,
         help="score per-user experience (MOS windows + SLOs, docs/QOE.md)",
     )
     qoe.add_argument(
@@ -313,11 +298,6 @@ def _build_parser() -> argparse.ArgumentParser:
     qoe.add_argument("--users", type=int, default=2, help="users per testbed")
     qoe.add_argument(
         "--duration", type=float, default=30.0, help="scored in-event seconds"
-    )
-    qoe.add_argument(
-        "--seeds",
-        default="1",
-        help="seed range: a count N (seeds 0..N-1) or an A:B half-open range",
     )
     qoe.add_argument(
         "--slo",
@@ -338,19 +318,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="mild",
         metavar="NAME",
         help="intensity for --scenario (default: mild)",
-    )
-    qoe.add_argument("--workers", type=int, default=None)
-    qoe.add_argument(
-        "--serial", action="store_true", help="run in-process, in plan order"
-    )
-    qoe.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
-    qoe.add_argument("--retries", type=int, default=2)
-    qoe.add_argument("--cache-dir", default=".repro-cache")
-    qoe.add_argument(
-        "--no-cache", action="store_true", help="always execute; never read or write the cache"
-    )
-    qoe.add_argument(
-        "--telemetry", default=None, metavar="PATH", help="append JSONL events here"
     )
     qoe.set_defaults(handler=_cmd_qoe, owns_metrics_out=True)
 
@@ -423,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     scale = add_parser(
         "scale",
-        live_plane=True,
+        live,
         help="fluid fan-out: project the testbed calibration to "
         "metaverse-scale populations",
     )
@@ -896,6 +863,32 @@ def _maybe_live(args):
     return _serving()
 
 
+def _runner_options(args) -> dict:
+    """``run_campaign`` keyword arguments from the shared runner flags."""
+    return dict(
+        parallel=not args.serial,
+        max_workers=args.workers,
+        timeout_s=args.timeout,
+        max_retries=args.retries,
+        cache_dir=None if args.no_cache else args.cache_dir,
+        use_cache=not args.no_cache,
+        telemetry_path=args.telemetry,
+        metrics_dir=args.metrics_out,
+        collect_obs=args.profile,
+    )
+
+
+def _finish_campaign(args, campaign) -> int:
+    """Failures on stderr, then the artifact notes; the exit status."""
+    for failure in campaign.failures:
+        print(f"FAILED {failure.spec.task_id}: {failure.error}", file=sys.stderr)
+    if args.telemetry:
+        print(f"\n[telemetry appended to {args.telemetry}]")
+    if args.metrics_out:
+        print(f"[per-task metrics written to {args.metrics_out}/]")
+    return 0 if campaign.ok else 1
+
+
 def _cmd_campaign(args) -> int:
     from .measure.experiment import registry
     from .runner import CampaignPlan, run_campaign
@@ -912,18 +905,7 @@ def _cmd_campaign(args) -> int:
         return 2
     with _maybe_live(args):
         print(f"Running {plan.describe()}...")
-        campaign = run_campaign(
-            plan,
-            parallel=not args.serial,
-            max_workers=args.workers,
-            timeout_s=args.timeout,
-            max_retries=args.retries,
-            cache_dir=None if args.no_cache else args.cache_dir,
-            use_cache=not args.no_cache,
-            telemetry_path=args.telemetry,
-            metrics_dir=args.metrics_out,
-            collect_obs=args.profile,
-        )
+        campaign = run_campaign(plan, **_runner_options(args))
     rows = []
     for name in plan.experiments:
         per = [r for r in campaign if r.spec.experiment == name]
@@ -955,13 +937,7 @@ def _cmd_campaign(args) -> int:
             if result.metrics is not None:
                 entries.extend(_callback_entries_from_dump(result.metrics))
         _print_callback_profile(entries)
-    for failure in campaign.failures:
-        print(f"FAILED {failure.spec.task_id}: {failure.error}", file=sys.stderr)
-    if args.telemetry:
-        print(f"\n[telemetry appended to {args.telemetry}]")
-    if args.metrics_out:
-        print(f"[per-task metrics written to {args.metrics_out}/]")
-    return 0 if campaign.ok else 1
+    return _finish_campaign(args, campaign)
 
 
 def _chaos_catalog_text() -> str:
@@ -987,17 +963,9 @@ def _cmd_chaos(args) -> int:
                 platforms=args.platforms,
                 intensities=args.intensities,
                 seeds=_parse_seeds(args.seeds),
-                parallel=not args.serial,
-                max_workers=args.workers,
-                timeout_s=args.timeout,
-                max_retries=args.retries,
-                cache_dir=None if args.no_cache else args.cache_dir,
-                use_cache=not args.no_cache,
-                telemetry_path=args.telemetry,
-                metrics_dir=args.metrics_out,
-                collect_obs=args.profile,
+                **_runner_options(args),
             )
-    except KeyError as exc:
+    except (KeyError, ValueError) as exc:  # unknown names, empty matrix
         print(exc.args[0], file=sys.stderr)
         return 2
     rows = []
@@ -1051,13 +1019,7 @@ def _cmd_chaos(args) -> int:
     passed = sum(1 for f in outcome.findings if f.passed)
     print(f"findings: {passed}/{len(outcome.findings)} cells passed")
     print(outcome.campaign.summary.render())
-    for failure in outcome.campaign.failures:
-        print(f"FAILED {failure.spec.task_id}: {failure.error}", file=sys.stderr)
-    if args.telemetry:
-        print(f"\n[telemetry appended to {args.telemetry}]")
-    if args.metrics_out:
-        print(f"[per-task metrics written to {args.metrics_out}/]")
-    return 0 if outcome.ok else 1
+    return _finish_campaign(args, outcome.campaign)
 
 
 def _cmd_qoe(args) -> int:
@@ -1077,15 +1039,7 @@ def _cmd_qoe(args) -> int:
                 duration_s=args.duration,
                 scenario=args.scenario,
                 intensity=args.intensity,
-                parallel=not args.serial,
-                max_workers=args.workers,
-                timeout_s=args.timeout,
-                max_retries=args.retries,
-                cache_dir=None if args.no_cache else args.cache_dir,
-                use_cache=not args.no_cache,
-                telemetry_path=args.telemetry,
-                metrics_dir=args.metrics_out,
-                collect_obs=args.profile,
+                **_runner_options(args),
             )
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
@@ -1162,13 +1116,7 @@ def _cmd_qoe(args) -> int:
         print(f"findings: {compliant_cells}/{len(slo_rows)} SLO cells compliant")
     print()
     print(outcome.campaign.summary.render())
-    for failure in outcome.campaign.failures:
-        print(f"FAILED {failure.spec.task_id}: {failure.error}", file=sys.stderr)
-    if args.telemetry:
-        print(f"\n[telemetry appended to {args.telemetry}]")
-    if args.metrics_out:
-        print(f"[per-task metrics written to {args.metrics_out}/]")
-    return 0 if outcome.ok else 1
+    return _finish_campaign(args, outcome.campaign)
 
 
 def _cmd_trace(args) -> int:

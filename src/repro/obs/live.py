@@ -353,8 +353,12 @@ def _make_handler(server: LiveObsServer):
             self.wfile.write(payload)
 
         def _stream_events(self, query: dict) -> None:
-            limit = int(query.get("limit", [0])[0])
-            last_id = int(query.get("since", [-1])[0])
+            try:
+                limit = int(query.get("limit", [0])[0])
+                last_id = int(query.get("since", [-1])[0])
+            except ValueError:
+                self.send_error(400, "limit and since must be integers")
+                return
             self.send_response(200)
             self.send_header("Content-Type", "text/event-stream")
             self.send_header("Cache-Control", "no-cache")

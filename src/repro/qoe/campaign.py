@@ -1,12 +1,13 @@
 """QoE campaign driver: score a platform matrix, optionally under fault.
 
-One cell (:func:`run_qoe_cell`) builds a fresh testbed with a
-metrics-only observability bundle, rides a :class:`QoeProbe` over the
-run, and returns a picklable :class:`QoeCellResult` — per-user window
-scores plus roll-ups.  Passing a chaos ``scenario`` arms a
-:class:`~repro.chaos.inject.FaultInjector` exactly like
-``run_chaos_cell`` does, so "what did users feel during the loss
-burst?" is one flag away from "did the platform recover?".
+One cell (:func:`run_qoe_cell`) is the shared scenario cell
+(:func:`repro.chaos.campaign.run_scenario_cell`: a fresh testbed with a
+metrics-only observability bundle and a :class:`QoeProbe` riding the
+run) plus window scoring; it returns a picklable
+:class:`QoeCellResult` — per-user window scores plus roll-ups.  Passing
+a chaos ``scenario`` arms the same fault ``run_chaos_cell`` judges, so
+"what did users feel during the loss burst?" is one flag away from
+"did the platform recover?".
 
 Registered as the ``qoe-score`` experiment (``qoe`` already names the
 paper's Sec. 8.2 latency/loss study), so matrices flow through
@@ -17,15 +18,15 @@ byte-identical regardless of worker count.
 from __future__ import annotations
 
 import dataclasses
+import operator
 import typing
 
-from ..chaos.campaign import JOIN_AT_S, SETTLE_S
-from ..measure.session import Testbed, download_drain_s
-from ..obs.context import MetricsOnlyObservability, active_collector
+from ..chaos.campaign import run_cell_campaign, run_scenario_cell
+from ..chaos.scenarios import get_scenario
 from ..platforms.profiles import PLATFORM_NAMES
-from ..runner import CampaignPlan, TelemetryWriter, run_campaign
+from ..runner import CampaignPlan
 from .slo import SloReport, SloSpec, evaluate_slo
-from .streams import QoeProbe, UserQoeSummary, WindowScore
+from .streams import UserQoeSummary, WindowScore
 
 
 @dataclasses.dataclass(frozen=True)
@@ -67,30 +68,13 @@ def run_qoe_cell(
 
     ``duration_s`` is the scored in-event time after join + download
     settle; with a ``scenario`` the run instead extends to the
-    scenario's observation window past the heal point (matching
-    ``run_chaos_cell`` timing), whichever is later.
+    scenario's observation window past the heal point, whichever is
+    later — the shared :func:`~repro.chaos.campaign.run_scenario_cell`
+    timing that ``run_chaos_cell`` judges.
     """
-    obs = None if active_collector() is not None else MetricsOnlyObservability()
-    testbed = Testbed(platform, n_users=n_users, seed=seed, obs=obs)
-    testbed.start_all(join_at=JOIN_AT_S)
-    probe = QoeProbe(testbed)
-    probe.start()
-
-    settle = JOIN_AT_S + SETTLE_S + download_drain_s(testbed.profile)
-    end = settle + duration_s
-    if scenario is not None:
-        from ..chaos.inject import FaultInjector
-        from ..chaos.scenarios import get_scenario
-
-        spec = get_scenario(scenario)
-        spec.params(intensity)  # fail fast on unknown intensity
-        injector = FaultInjector(testbed, spec, intensity)
-        fault_at = settle + spec.fault_offset_s
-        heal_at = injector.arm(fault_at)
-        end = max(end, heal_at + spec.observe_s)
-
-    testbed.run(until=end)
-
+    testbed, probe, _, end = run_scenario_cell(
+        platform, seed, n_users, scenario, intensity, duration_s
+    )
     windows = tuple(probe.window_scores())
     users = tuple(probe.user_summaries())
     values = [window.score for window in windows]
@@ -151,6 +135,7 @@ def build_qoe_plan(
     """Expand the QoE matrix (platform x seed) into runner tasks."""
     base = {"n_users": n_users, "duration_s": duration_s}
     if scenario is not None:
+        get_scenario(scenario).params(intensity)  # fail before any task runs
         base["scenario"] = scenario
         base["intensity"] = intensity
     return CampaignPlan.from_matrix(
@@ -169,23 +154,11 @@ def run_qoe_campaign(
     duration_s: float = 30.0,
     scenario: typing.Optional[str] = None,
     intensity: str = "mild",
-    parallel: bool = True,
-    max_workers: typing.Optional[int] = None,
-    timeout_s: typing.Optional[float] = None,
-    max_retries: int = 2,
-    cache_dir: typing.Optional[str] = None,
-    use_cache: bool = True,
-    telemetry_path: typing.Optional[str] = None,
-    metrics_dir: typing.Optional[str] = None,
-    collect_obs: bool = False,
+    **runner_options,
 ) -> QoeCampaignOutcome:
-    """Run a QoE matrix through the campaign runner.
-
-    The driver owns the telemetry stream: every event carries the
-    plan-derived ``campaign_id``, and each scored cell is echoed as a
-    ``qoe_cell`` event after the runner's ``campaign_end`` — the join
-    point the HTML campaign report uses.
-    """
+    """Run a QoE matrix through
+    :func:`~repro.chaos.campaign.run_cell_campaign`, echoing each
+    scored cell as a ``qoe_cell`` telemetry event."""
     plan = build_qoe_plan(
         platforms,
         seeds,
@@ -194,53 +167,15 @@ def run_qoe_campaign(
         scenario=scenario,
         intensity=intensity,
     )
-    with TelemetryWriter(
-        telemetry_path, context={"campaign_id": plan.campaign_id}
-    ) as telemetry:
-        campaign = run_campaign(
-            plan,
-            parallel=parallel,
-            max_workers=max_workers,
-            timeout_s=timeout_s,
-            max_retries=max_retries,
-            cache_dir=cache_dir,
-            use_cache=use_cache,
-            telemetry=telemetry,
-            metrics_dir=metrics_dir,
-            collect_obs=collect_obs,
-        )
-        results = _ordered_results(campaign, plan.campaign_id)
-        for cell in results:
-            telemetry.emit(
-                "qoe_cell",
-                task=cell.task_id,
-                platform=cell.platform,
-                seed=cell.seed,
-                scenario=cell.scenario,
-                intensity=cell.intensity,
-                mean_score=cell.mean_score,
-                worst_score=cell.worst_score,
-                below_threshold_user_s=cell.below_threshold_user_s,
-            )
+    campaign, results = run_cell_campaign(
+        plan,
+        QoeCellResult,
+        operator.attrgetter("platform", "seed"),
+        "qoe_cell",
+        (
+            "platform", "seed", "scenario", "intensity",
+            "mean_score", "worst_score", "below_threshold_user_s",
+        ),
+        **runner_options,
+    )
     return QoeCampaignOutcome(campaign=campaign, results=results)
-
-
-def _ordered_results(campaign, campaign_id: str = "") -> typing.List[QoeCellResult]:
-    """Successful results in a canonical, shard-independent order,
-    stamped with the correlation ids of the campaign that ran them."""
-    results = []
-    for result in campaign:
-        if not (result.ok and isinstance(result.value, QoeCellResult)):
-            continue
-        cell = result.value
-        try:
-            cell = dataclasses.replace(
-                cell,
-                campaign_id=campaign_id,
-                task_id=result.spec.task_id,
-            )
-        except (AttributeError, TypeError):  # cached pre-correlation pickle
-            pass
-        results.append(cell)
-    results.sort(key=lambda r: (r.platform, r.seed))
-    return results

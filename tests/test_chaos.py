@@ -161,6 +161,19 @@ def test_build_chaos_plan_rejects_unknown_scenario():
         build_chaos_plan(scenarios=["meteor-strike"])
 
 
+def test_build_chaos_plan_rejects_a_matrix_with_no_cells():
+    with pytest.raises(ValueError, match=r"mlid.*link-flap \[mild/severe\]"):
+        build_chaos_plan(scenarios=["link-flap"], intensities=["mlid"])
+
+
+def test_cell_drivers_accept_only_the_runner_options():
+    from repro.qoe import run_qoe_campaign
+
+    for driver in (run_chaos_campaign, run_qoe_campaign):
+        with pytest.raises(TypeError, match="backoff_s"):
+            driver(platforms=["vrchat"], backoff_s=0.0)
+
+
 @pytest.mark.slow
 def test_verdicts_are_byte_identical_across_runs_and_shard_counts():
     """Acceptance: same spec + seed -> byte-identical verdict objects."""
@@ -211,6 +224,20 @@ def test_chaos_cli_unknown_scenario_is_usage_error(capsys):
     code = main(["chaos", "--scenarios", "meteor-strike", "--serial"])
     assert code == 2
     assert "meteor-strike" in capsys.readouterr().err
+
+
+def test_chaos_cli_matrix_with_no_cells_is_usage_error(capsys):
+    argv = [
+        "chaos",
+        "--scenarios", "link-flap",
+        "--platforms", "vrchat",
+        "--intensities", "mlid",
+        "--serial",
+        "--no-cache",
+    ]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "mlid" in err and "link-flap [mild/severe]" in err
 
 
 @pytest.mark.slow

@@ -65,6 +65,14 @@ def test_unknown_route_is_404():
         assert excinfo.value.code == 404
 
 
+@pytest.mark.parametrize("query", ["limit=abc", "since=x"])
+def test_malformed_events_query_is_400(query):
+    with live_server(port=0) as server:
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _get(server.url + "/events?" + query)
+        assert excinfo.value.code == 400
+
+
 def test_keep_alive_requests_do_not_stall():
     """Ten requests on one connection: a delayed-ACK stall (~40 ms
     each) would take ~0.4 s."""

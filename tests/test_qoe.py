@@ -296,6 +296,27 @@ def test_chaos_verdict_carries_qoe_fields():
     assert "QoE worst user" in verdict.evidence
 
 
+def test_chaos_and_qoe_cells_of_one_scenario_run_the_same_simulation():
+    """A chaos cell and a qoe-score cell of one scenario build the same
+    testbed, probe and fault, so they dispatch the same kernel events
+    and end at the same sim time."""
+    from repro.chaos import get_scenario
+    from repro.obs import collect
+
+    dispatched = []
+    with collect(max_trace_events=0) as collector:
+        verdict = run_chaos_cell("regional-outage", "altspacevr", "mild", seed=0)
+    dispatched.append(collector.observabilities[0].registry.value("sim.events_dispatched"))
+    with collect(max_trace_events=0) as collector:
+        cell = run_qoe_cell(
+            "altspacevr", seed=0, scenario="regional-outage", intensity="mild"
+        )
+    dispatched.append(collector.observabilities[0].registry.value("sim.events_dispatched"))
+    assert dispatched == [25_496, 25_496]
+    observe_s = get_scenario("regional-outage").observe_s
+    assert cell.end_s == round(verdict.heal_at_s + observe_s, 6) == 63.0
+
+
 def test_qoe_score_experiment_is_registered():
     spec = get_experiment("qoe-score")
     assert spec.runner is run_qoe_cell
@@ -387,6 +408,25 @@ def test_qoe_cli_smoke(capsys):
     assert code == 0
     assert "Mean MOS" in out
     assert "SLO cells compliant" in out
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--scenario", "meteor-strike"], "unknown chaos scenario 'meteor-strike'"),
+        (
+            ["--scenario", "link-flap", "--intensity", "mlid"],
+            "scenario 'link-flap' has no intensity 'mlid'; choose from: mild, severe",
+        ),
+    ],
+    ids=["scenario", "intensity"],
+)
+def test_qoe_cli_bad_scenario_or_intensity_is_usage_error(flags, message, capsys):
+    argv = ["qoe", "--platforms", "vrchat", "--serial", "--no-cache", *flags]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "FAILED" not in captured.err  # rejected before any task ran
 
 
 def test_qoe_cli_rejects_bad_slo(capsys):
