@@ -1252,22 +1252,26 @@ def _cmd_public_event(args) -> int:
 def _cmd_scale(args) -> int:
     from .scale import ScaleScenario, capacity_table, plan_capacity, run_sharded
 
-    scenario = ScaleScenario(
-        platform=args.platform,
-        architecture=args.architecture,
-        users_per_room=args.users_per_room,
-        duration_s=args.duration,
-        bin_s=args.bin,
-        churn=not args.no_churn,
-    )
-    with _maybe_live(args):
-        result = run_sharded(
-            scenario,
-            args.rooms,
-            seed=args.seed,
-            parallel=False if args.serial else None,
-            max_workers=args.workers,
+    try:
+        scenario = ScaleScenario(
+            platform=args.platform,
+            architecture=args.architecture,
+            users_per_room=args.users_per_room,
+            duration_s=args.duration,
+            bin_s=args.bin,
+            churn=not args.no_churn,
         )
+        with _maybe_live(args):
+            result = run_sharded(
+                scenario,
+                args.rooms,
+                seed=args.seed,
+                parallel=False if args.serial else None,
+                max_workers=args.workers,
+            )
+    except (KeyError, ValueError) as exc:  # bad scenario or room count
+        print(exc.args[0], file=sys.stderr)
+        return 2
     total = result.total_users
     print(
         f"{scenario.platform} / {scenario.architecture}: "

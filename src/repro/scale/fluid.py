@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import functools
 import math
 import typing
 
@@ -43,7 +44,7 @@ class PiecewiseConstant:
                 f"need len(times) == len(values) + 1, got {len(times)}/{len(values)}"
             )
         for a, b in zip(times, times[1:]):
-            if b <= a:
+            if not b > a:  # also rejects NaN breakpoints
                 raise ValueError("times must be strictly ascending")
         self.times = list(times)
         self.values = list(values)
@@ -74,16 +75,14 @@ class PiecewiseConstant:
         end: typing.Optional[float] = None,
     ) -> float:
         """The integral of the function over ``[start, end)``."""
-        a = self.start if start is None else max(start, self.start)
-        b = self.end if end is None else min(end, self.end)
-        if b <= a:
-            return 0.0
+        overlaps = _overlaps(
+            self.times,
+            self.start if start is None else start,
+            self.end if end is None else end,
+        )
         total = 0.0
-        for t0, t1, value in zip(self.times, self.times[1:], self.values):
-            lo = max(t0, a)
-            hi = min(t1, b)
-            if hi > lo:
-                total += value * (hi - lo)
+        for index, width in overlaps:
+            total += self.values[index] * width
         return total
 
     def map(self, fn: typing.Callable[[float], float]) -> "PiecewiseConstant":
@@ -106,16 +105,23 @@ class PiecewiseConstant:
         return PiecewiseConstant(times, values)
 
     def bins(self, start: float, end: float, bin_s: float) -> np.ndarray:
-        """Per-bin integrals over ``[start, end)`` (e.g. bits per bin)."""
+        """Per-bin integrals over ``[start, end)`` (e.g. bits per bin).
+
+        Bin ``i`` is exactly ``integral(start + i * bin_s, ...)``: the
+        same overlaps, summed in the same order from ``0.0``.
+        """
         if end <= start:
             raise ValueError(f"end ({end}) must exceed start ({start})")
-        n_bins = int(math.ceil((end - start) / bin_s))
-        out = np.zeros(n_bins)
-        for index in range(n_bins):
-            lo = start + index * bin_s
-            hi = min(end, lo + bin_s)
-            out[index] = self.integral(lo, hi)
-        return out
+        if not (math.isfinite(bin_s) and bin_s > 0):
+            raise ValueError(f"bin_s must be finite and positive, got {bin_s}")
+        values = self.values
+        totals = []
+        for overlaps in _overlap_table(tuple(self.times), start, end, bin_s):
+            total = 0.0
+            for index, width in overlaps:
+                total += values[index] * width
+            totals.append(total)
+        return np.array(totals, dtype=float)
 
     def to_series(self, start: float, end: float, bin_s: float) -> ThroughputSeries:
         """Bin a bits-per-second function into a ThroughputSeries —
@@ -141,6 +147,44 @@ class PiecewiseConstant:
 
     def __len__(self) -> int:
         return len(self.values)
+
+
+def _overlaps(
+    times: typing.Sequence[float], start: float, end: float
+) -> typing.List[typing.Tuple[int, float]]:
+    """``(segment index, overlap width)`` of every segment of ``times``
+    that meets ``[start, end)``, in segment order."""
+    a = max(start, times[0])
+    b = min(end, times[-1])
+    if b <= a:
+        return []
+    overlaps = []
+    for index, (t0, t1) in enumerate(zip(times, times[1:])):
+        lo = max(t0, a)
+        hi = min(t1, b)
+        if hi > lo:
+            overlaps.append((index, hi - lo))
+    return overlaps
+
+
+@functools.lru_cache(maxsize=256)
+def _overlap_table(
+    times: typing.Tuple[float, ...], start: float, end: float, bin_s: float
+) -> typing.Tuple[typing.Tuple[typing.Tuple[int, float], ...], ...]:
+    """Each bin's :func:`_overlaps` for :meth:`PiecewiseConstant.bins`.
+
+    Keyed by the breakpoints, not the values: every room of a scale
+    scenario shares one churn grid (breakpoints at ``start + i *
+    interval`` and the horizon, whatever the room's RNG draws), and
+    ``map``/``scaled`` keep it, so all of a scenario's rooms and rate
+    functions bin through one table.
+    """
+    n_bins = int(math.ceil((end - start) / bin_s))
+    table = []
+    for index in range(n_bins):
+        lo = start + index * bin_s
+        table.append(tuple(_overlaps(times, lo, min(end, lo + bin_s))))
+    return tuple(table)
 
 
 @dataclasses.dataclass
@@ -284,6 +328,10 @@ def churn_occupancy(
     """
     if target_users < 1:
         raise ValueError("target_users must be >= 1")
+    if not (math.isfinite(churn_interval_s) and churn_interval_s > 0):
+        raise ValueError(
+            f"churn_interval_s must be finite and positive, got {churn_interval_s}"
+        )
     times = [start_s]
     values = [float(target_users)]
     t = start_s + churn_interval_s
@@ -299,6 +347,12 @@ def churn_occupancy(
         t += churn_interval_s
     times.append(start_s + duration_s)
     return PiecewiseConstant(times, values)
+
+
+#: ``room_model`` for every room of the process: each room of a
+#: scenario asks for the same few occupancies.  ``RoomModel`` is frozen,
+#: so sharing one instance between rooms is safe.
+_room_model = functools.lru_cache(maxsize=1024)(room_model)
 
 
 @dataclasses.dataclass
@@ -355,15 +409,13 @@ def simulate_room(
         else:
             occupancy = PiecewiseConstant.constant(float(n_users), 0.0, duration_s)
 
-    models: typing.Dict[int, RoomModel] = {}
-
     def model_for(count: float) -> RoomModel:
-        key = max(1, int(round(count)))
-        if key not in models:
-            models[key] = room_model(
-                platform, key, architecture, viewport_factor=viewport_factor
-            )
-        return models[key]
+        return _room_model(
+            platform,
+            max(1, int(round(count))),
+            architecture,
+            viewport_factor=viewport_factor,
+        )
 
     egress = occupancy.map(lambda k: model_for(k).server_egress_bytes_per_s * 8.0)
     viewer_down = occupancy.map(

@@ -22,6 +22,7 @@ import numpy as np
 
 from ..capture.timeseries import ThroughputSeries
 from ..obs.context import active_collector, obs_of  # noqa: F401  (obs_of re-exported for shard workers)
+from ..platforms.profiles import get_profile
 from ..qoe.cohort import mean_mos_per_bin, room_qoe
 from ..simcore import derive_seed
 from .aggregate import ARCHITECTURES
@@ -50,8 +51,11 @@ class ScaleScenario:
             )
         if self.users_per_room < 1:
             raise ValueError("users_per_room must be >= 1")
-        if self.duration_s <= 0 or self.bin_s <= 0:
-            raise ValueError("duration_s and bin_s must be positive")
+        for name in ("duration_s", "bin_s", "churn_interval_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        get_profile(self.platform)  # KeyError naming the known platforms
 
 
 def simulate_shard(

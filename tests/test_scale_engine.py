@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cli import main
 from repro.scale import (
@@ -33,6 +36,13 @@ def test_piecewise_validation():
         PiecewiseConstant([0.0, 1.0], [1.0, 2.0])  # length mismatch
     with pytest.raises(ValueError):
         PiecewiseConstant([0.0, 1.0, 1.0], [1.0, 2.0])  # not ascending
+    for times in ([0.0, math.nan], [math.nan, 1.0]):
+        with pytest.raises(ValueError, match="ascending"):
+            PiecewiseConstant(times, [1.0])
+    f = PiecewiseConstant([0.0, 10.0], [1.0])
+    for bin_s in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="bin_s"):
+            f.bins(0.0, 10.0, bin_s)
 
 
 def test_piecewise_evaluation_and_integral():
@@ -63,6 +73,84 @@ def test_piecewise_map_add_bins():
     assert np.allclose(bins, 7.5)
     series = f.scaled(8.0).to_series(0.0, 10.0, 1.0)
     assert series.bps.mean() == pytest.approx(24.0)
+
+
+def _reference_integral(f, a, b):
+    """``PiecewiseConstant.integral`` as a plain loop over every segment."""
+    a = max(a, f.start)
+    b = min(b, f.end)
+    if b <= a:
+        return 0.0
+    total = 0.0
+    for t0, t1, value in zip(f.times, f.times[1:], f.values):
+        lo = max(t0, a)
+        hi = min(t1, b)
+        if hi > lo:
+            total += value * (hi - lo)
+    return total
+
+
+def _reference_bins(f, start, end, bin_s):
+    """``PiecewiseConstant.bins`` as one reference integral per bin."""
+    n_bins = int(math.ceil((end - start) / bin_s))
+    out = np.zeros(n_bins)
+    for index in range(n_bins):
+        lo = start + index * bin_s
+        hi = min(end, lo + bin_s)
+        out[index] = _reference_integral(f, lo, hi)
+    return out
+
+
+_step_values = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.floats(min_value=-1e6, max_value=1e6),
+    ),
+    min_size=7,
+    max_size=7,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example(  # one bin over three segments whose sum depends on its order
+    times=[0.0, 1.0, 2.0, 3.0],
+    values=[1.0, 1e16, -1e16, 0.0, 0.0, 0.0, 0.0],
+    other_values=[-0.0] * 7,
+    start=0.0,
+    span=3.0,
+    bin_s=3.0,
+)
+@given(
+    times=st.lists(
+        st.floats(min_value=-100.0, max_value=100.0),
+        min_size=2,
+        max_size=8,
+        unique=True,
+    ),
+    values=_step_values,
+    other_values=_step_values,
+    start=st.floats(min_value=-150.0, max_value=150.0),
+    span=st.floats(min_value=1e-3, max_value=100.0),
+    bin_s=st.floats(min_value=0.5, max_value=50.0),
+)
+def test_bins_match_per_bin_integrals_bit_for_bit(
+    times, values, other_values, start, span, bin_s
+):
+    """Binning reuses one overlap table per grid; every bin must still
+    be the exact float sum a per-bin integral makes, for any values on
+    the same breakpoints, grids off the breakpoints, and bins partly or
+    wholly outside the domain."""
+    times = sorted(times)
+    n = len(times) - 1
+    end = start + span
+    for vals in (values[:n], other_values[:n]):  # second one hits the table
+        f = PiecewiseConstant(times, vals)
+        expected = _reference_bins(f, start, end, bin_s)
+        assert f.bins(start, end, bin_s).tobytes() == expected.tobytes()
+        assert repr(f.integral(start, end)) == repr(
+            _reference_integral(f, start, end)
+        )
+        assert repr(f.integral()) == repr(_reference_integral(f, f.start, f.end))
 
 
 # ----------------------------------------------------------------------
@@ -222,6 +310,19 @@ def test_scale_scenario_validation():
         ScaleScenario(users_per_room=0)
     with pytest.raises(ValueError):
         ScaleScenario(duration_s=0.0)
+    for name, value in (
+        ("duration_s", math.nan),
+        ("duration_s", math.inf),
+        ("bin_s", math.inf),
+        ("churn_interval_s", 0.0),
+    ):
+        with pytest.raises(ValueError, match=name):
+            ScaleScenario(**{name: value})
+    with pytest.raises(KeyError, match="nosuch"):
+        ScaleScenario(platform="nosuch")
+    # A non-positive interval never advances the churn clock.
+    with pytest.raises(ValueError, match="churn_interval_s"):
+        churn_occupancy(random.Random(0), 20, 60.0, churn_interval_s=0.0)
 
 
 def test_simulate_shard_thaws_canonicalized_scenario():
@@ -250,6 +351,53 @@ def test_sharded_merge_is_shard_count_invariant():
     assert not np.array_equal(
         a.egress_series.bits_per_bin, c.egress_series.bits_per_bin
     )
+
+
+#: SHA-256 of the fluid path's outputs (see the test below), computed
+#: with one ``integral`` call per bin, the order ``_reference_bins`` keeps.
+FLUID_GOLDEN_DIGEST = (
+    "d1505b45f2e0c4c2a595a9ecadfecb2ca6573c438a7d032f2886bc1582cfb72a"
+)
+
+
+def test_fluid_outputs_match_golden_digest():
+    """Sharded runs (churn and constant occupancy, two architectures,
+    two seeds) and an off-grid fluid-queue output, bit for bit."""
+    digest = hashlib.sha256()
+    for kwargs, seed in (
+        ({}, 0),
+        ({}, 1),
+        ({"architecture": "interest"}, 0),
+        ({"churn": False}, 0),
+    ):
+        result = run_sharded(
+            ScaleScenario(users_per_room=20, duration_s=300.0, **kwargs),
+            200,
+            seed=seed,
+            parallel=False,
+        )
+        for array in (
+            result.egress_series.bits_per_bin,
+            result.viewer_series.bits_per_bin,
+            result.mos_user_seconds_per_bin,
+            result.user_seconds_per_bin,
+        ):
+            digest.update(np.asarray(array, dtype=float).tobytes())
+        digest.update(
+            repr(
+                (
+                    result.mean_mos,
+                    result.user_seconds,
+                    result.peak_room_egress_bps,
+                    result.peak_occupancy,
+                    result.qoe_below_user_seconds,
+                )
+            ).encode()
+        )
+    peak = simulate_room("worlds", 15, 60.0).viewer_down_bps.peak()
+    shaped = simulate_room("worlds", 15, 60.0, access_capacity_bps=peak * 0.5)
+    digest.update(shaped.viewer_down_bps.bins(0.0, 60.0, 1.0).tobytes())
+    assert digest.hexdigest() == FLUID_GOLDEN_DIGEST
 
 
 def test_metaverse_scale_experiment_summary():
@@ -285,3 +433,22 @@ def test_cli_scale_smoke(capsys):
     assert "Capacity plan" in out
     for architecture in ARCHITECTURES:
         assert architecture in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--rooms", "0"], "n_rooms must be >= 1"),
+        (["--users-per-room", "0"], "users_per_room must be >= 1"),
+        (["--bin", "0"], "bin_s must be finite and positive"),
+        (["--duration", "nan"], "duration_s must be finite and positive"),
+        (["--duration", "inf"], "duration_s must be finite and positive"),
+        (["--platform", "nosuch"], "unknown platform 'nosuch'"),
+    ],
+)
+def test_cli_scale_rejects_bad_input(capsys, argv, message):
+    # No --serial: a bad input must fail before any shard pool starts.
+    assert main(["scale", *argv]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err
