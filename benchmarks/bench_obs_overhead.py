@@ -15,8 +15,7 @@ Three measurements:
    per-event guard measured in (2) against the raw-dispatch floor.
 
 Run standalone (``python benchmarks/bench_obs_overhead.py``) or via
-``pytest benchmarks/bench_obs_overhead.py`` (which also rewrites
-``benchmarks/RESULTS.txt``).
+``pytest benchmarks/bench_obs_overhead.py``.
 """
 
 from __future__ import annotations
@@ -143,7 +142,7 @@ def _report(micro: dict, storm: tuple) -> str:
     return "\n".join(lines)
 
 
-def test_obs_overhead(paper_report):
+def test_obs_overhead(timing_report):
     micro = _micro_costs()
     # The disabled hot path is a boolean guard plus (rarely) a no-op
     # call; both must stay in the nanosecond range.
@@ -151,7 +150,7 @@ def test_obs_overhead(paper_report):
     assert micro["null counter.inc()"] < 1e-6
     storm = _event_storm()
     report = _report(micro, storm)
-    paper_report("Observability overhead", report)
+    timing_report("Observability overhead", report)
     # A full trace buffer only counts what it drops, so enabled
     # observability stays within a small multiple of plain dispatch.
     disabled, enabled = storm

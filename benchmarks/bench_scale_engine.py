@@ -7,8 +7,9 @@ Three checks on the hybrid-fidelity scale engine:
 * a fluid room is >= 100x faster than the equivalent packet room,
 * a 1000-room (20k-user) fan-out completes in interactive time.
 
-The measured numbers are also written as a JSON artifact (for CI
-upload) to ``$SCALE_BENCH_JSON`` or ``benchmarks/scale_bench.json``.
+The measured numbers are written as a JSON artifact (for CI upload)
+to ``$SCALE_BENCH_JSON`` or the untracked ``benchmarks/scale_bench.json``;
+they carry wall-clock times, so they stay out of ``RESULTS.txt``.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def _packet_channel_kbps(platform: str, n_users: int) -> dict:
     return {key: total * 8.0 / 1000.0 / pooled_window for key, total in byte_totals.items()}
 
 
-def test_fluid_packet_agreement(benchmark, paper_report):
+def test_fluid_packet_agreement(benchmark, timing_report):
     def sweep():
         rows = {}
         for platform in PLATFORMS:
@@ -141,7 +142,7 @@ def test_fluid_packet_agreement(benchmark, paper_report):
         "channels": agreement,
     }
     path = _write_artifact()
-    paper_report(
+    timing_report(
         "repro.scale cross-validation — fluid model vs packet engine "
         f"(n={AGREEMENT_USERS}, {len(AGREEMENT_SEEDS)} seeds pooled; "
         f"worst error {worst * 100:.2f}%; artifact: {path.name})",
@@ -150,7 +151,7 @@ def test_fluid_packet_agreement(benchmark, paper_report):
     assert worst < TOLERANCE
 
 
-def test_fluid_speedup(benchmark, paper_report):
+def test_fluid_speedup(benchmark, timing_report):
     """One fluid room must beat the packet room by >= 100x."""
     platform, n_users, duration_s = "vrchat", 15, 30.0
 
@@ -182,7 +183,7 @@ def test_fluid_speedup(benchmark, paper_report):
         "speedup": speedup,
     }
     path = _write_artifact()
-    paper_report(
+    timing_report(
         "repro.scale speedup — fluid vs packet room "
         f"({platform}, {n_users} users, {duration_s:.0f} s simulated)",
         f"packet engine: {packet_s:.3f} s wall\n"
@@ -193,7 +194,7 @@ def test_fluid_speedup(benchmark, paper_report):
     assert speedup >= 100.0
 
 
-def test_metaverse_fanout(benchmark, paper_report):
+def test_metaverse_fanout(benchmark, timing_report):
     """1000 churning rooms (20k users) through the sharded executor."""
     scenario = ScaleScenario(platform="vrchat", users_per_room=20, duration_s=300.0)
 
@@ -215,7 +216,7 @@ def test_metaverse_fanout(benchmark, paper_report):
         "wall_time_s": result.wall_time_s,
     }
     path = _write_artifact()
-    paper_report(
+    timing_report(
         "repro.scale fan-out — 1000 rooms x 20 users, 300 s horizon",
         f"mean concurrent users: {result.mean_concurrent_users:,.0f}\n"
         f"aggregate egress:      {result.mean_egress_gbps:.2f} Gbps mean, "

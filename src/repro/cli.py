@@ -785,17 +785,15 @@ def _cmd_experiments(args) -> int:
     return 0
 
 
-def _parse_seeds(text: str) -> list:
-    """``'20'`` -> seeds 0..19; ``'5:8'`` -> seeds 5,6,7."""
-    if ":" in text:
-        start, _, stop = text.partition(":")
-        seeds = list(range(int(start), int(stop)))
-    else:
-        seeds = list(range(int(text)))
-    if not seeds:
-        print(f"--seeds {text!r} selects no seeds", file=sys.stderr)
-        raise SystemExit(2)
-    return seeds
+def _seeds(text: str) -> list:
+    """``--seeds`` through the runner's seed vocabulary; exit 2 if bad."""
+    from .runner.plan import parse_seeds
+
+    try:
+        return parse_seeds(text)
+    except ValueError as exc:
+        print(f"--seeds: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _parse_grid(params: typing.Sequence[str]) -> dict:
@@ -898,7 +896,7 @@ def _cmd_campaign(args) -> int:
         names = list(registry())
     try:
         plan = CampaignPlan.from_matrix(
-            names, grid=_parse_grid(args.param), seeds=_parse_seeds(args.seeds)
+            names, grid=_parse_grid(args.param), seeds=_seeds(args.seeds)
         )
     except (KeyError, ValueError) as exc:
         print(exc.args[0], file=sys.stderr)
@@ -954,6 +952,7 @@ def _chaos_catalog_text() -> str:
 def _cmd_chaos(args) -> int:
     from .chaos import run_chaos_campaign
 
+    seeds = _seeds(args.seeds)
     print(_chaos_catalog_text())
     print()
     try:
@@ -962,7 +961,7 @@ def _cmd_chaos(args) -> int:
                 scenarios=args.scenarios,
                 platforms=args.platforms,
                 intensities=args.intensities,
-                seeds=_parse_seeds(args.seeds),
+                seeds=seeds,
                 **_runner_options(args),
             )
     except (KeyError, ValueError) as exc:  # unknown names, empty matrix
@@ -1025,6 +1024,7 @@ def _cmd_chaos(args) -> int:
 def _cmd_qoe(args) -> int:
     from .qoe import SloSpec, evaluate_slo, mos_label, run_qoe_campaign
 
+    seeds = _seeds(args.seeds)
     try:
         slo_specs = [SloSpec.parse(text) for text in args.slo]
     except ValueError as exc:
@@ -1034,7 +1034,7 @@ def _cmd_qoe(args) -> int:
         with _maybe_live(args):
             outcome = run_qoe_campaign(
                 platforms=args.platforms,
-                seeds=_parse_seeds(args.seeds),
+                seeds=seeds,
                 n_users=args.users,
                 duration_s=args.duration,
                 scenario=args.scenario,

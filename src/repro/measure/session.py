@@ -94,10 +94,12 @@ class Testbed:
         per-packet :class:`~repro.capture.sniffer.PacketRecord` objects
         are kept (long runs then need O(bins) capture memory).
 
-        ``obs`` is handed straight to the :class:`Simulator` — pass a
-        :class:`~repro.obs.MetricsOnlyObservability` to light up the
-        metric registry (e.g. for :mod:`repro.qoe`) without the
-        per-event kernel profiling of a full collector."""
+        ``obs`` is handed straight to the :class:`Simulator` — pass
+        ``Observability(trace=False)`` (what
+        :func:`~repro.obs.MetricsOnlyObservability` returns) to light up
+        the metric registry (e.g. for :mod:`repro.qoe`) without the
+        tracer and per-event kernel profiling of ``Observability()``.
+        Every configuration runs the same simulation."""
         if isinstance(platform, PlatformProfile):
             self.profile = platform
         else:

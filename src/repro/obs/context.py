@@ -7,7 +7,7 @@ a collector::
 
     with collect() as collector:
         result = run_experiment("throughput")
-    dump = collector.dump()
+    dump = collector.merged_dump()
 
 While a collector is active, every ``Simulator()`` constructed in this
 process (the worker running the task) gets an *enabled* observability
@@ -30,21 +30,42 @@ _ACTIVE_COLLECTOR: typing.Optional["ObsCollector"] = None
 
 
 class Observability:
-    """Per-simulation bundle: one registry + one tracer."""
+    """Per-simulation bundle: one metrics registry and one tracer.
 
-    enabled = True
-    #: Whether the kernel should profile every event dispatch (qualname
-    #: lookups, wall-clock spans, per-callback histograms).  Layer-level
-    #: instruments only check ``enabled``, so subclasses can turn this
-    #: off to keep counters/gauges live while the run loop stays on the
-    #: fast unobserved path.
-    observe_kernel = True
+    One class covers the three configurations in use:
 
-    def __init__(self, max_trace_events: typing.Optional[int] = None) -> None:
-        self.registry = MetricsRegistry()
-        self.tracer = Tracer() if max_trace_events is None else Tracer(
-            max_events=max_trace_events
-        )
+    * ``Observability()`` (or ``max_trace_events=N``) observes
+      everything: a live registry, a bounded :class:`Tracer`, and a
+      kernel that profiles every dispatch;
+    * ``Observability(trace=False)`` keeps the registry live but holds
+      :data:`NULL_TRACER`, so the kernel stays on its unprofiled
+      dispatch.  Metric values are sim-deterministic, so anything
+      scored off this registry (e.g. :mod:`repro.qoe`) matches what a
+      fully observed run would score;
+    * :data:`NULL_OBS` holds :data:`NULL_REGISTRY` and
+      :data:`NULL_TRACER`: the shared, allocation-free default.
+
+    ``enabled`` (layer instruments write) follows from the registry
+    and ``observe_kernel`` (the kernel profiles each dispatch) from the
+    tracer.
+    """
+
+    def __init__(
+        self,
+        max_trace_events: typing.Optional[int] = None,
+        trace: bool = True,
+        *,
+        registry: typing.Optional[MetricsRegistry] = None,
+    ) -> None:
+        self.registry = MetricsRegistry() if registry is None else registry
+        self.enabled = self.registry.enabled
+        if not (trace and self.enabled):
+            self.tracer = NULL_TRACER
+        elif max_trace_events is None:
+            self.tracer = Tracer()
+        else:
+            self.tracer = Tracer(max_events=max_trace_events)
+        self.observe_kernel = self.tracer.enabled
 
     def bind(self, sim) -> None:
         """Attach the simulator whose clock stamps trace events."""
@@ -54,43 +75,16 @@ class Observability:
         return {"metrics": self.registry.dump(), "trace": self.tracer.dump()}
 
 
-class MetricsOnlyObservability(Observability):
-    """Metrics without tracing or kernel profiling.
-
-    Built for derived-signal consumers like :mod:`repro.qoe` that need
-    the platform/link counters and gauges live but none of the per-event
-    kernel spans: the registry is real, the tracer is the shared no-op,
-    and ``observe_kernel`` keeps the simulator on its inlined fast run
-    loop.  Metric values are sim-deterministic, so anything scored off
-    this registry matches what a fully observed run would score.
-    """
-
-    observe_kernel = False
-
-    def __init__(self) -> None:
-        self.registry = MetricsRegistry()
-        self.tracer = NULL_TRACER
-
-
-class _NullObservability:
-    """The disabled bundle: shared, stateless, and allocation-free."""
-
-    enabled = False
-    registry = NULL_REGISTRY
-    tracer = NULL_TRACER
-
-    def bind(self, sim) -> None:
-        pass
-
-    def dump(self) -> dict:
-        return {"metrics": NULL_REGISTRY.dump(), "trace": NULL_TRACER.dump()}
+def MetricsOnlyObservability() -> Observability:
+    """A metrics-only bundle: ``Observability(trace=False)``."""
+    return Observability(trace=False)
 
 
 #: Shared disabled observability — the default for every Simulator.
-NULL_OBS = _NullObservability()
+NULL_OBS = Observability(trace=False, registry=NULL_REGISTRY)
 
 
-def obs_of(sim) -> typing.Union[Observability, _NullObservability]:
+def obs_of(sim) -> Observability:
     """The observability bundle of ``sim`` (NULL_OBS for stub sims)."""
     return getattr(sim, "obs", NULL_OBS) or NULL_OBS
 
@@ -106,12 +100,6 @@ class ObsCollector:
         obs = Observability(max_trace_events=self.max_trace_events)
         self.observabilities.append(obs)
         return obs
-
-    def dump(self) -> dict:
-        """One dump per collected simulation, in creation order."""
-        return {
-            "simulations": [obs.dump() for obs in self.observabilities],
-        }
 
     def fleet_dump(self, source: str = "") -> dict:
         """The mergeable (fleet-form) aggregate of every collected

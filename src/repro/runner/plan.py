@@ -135,6 +135,33 @@ def campaign_id_for(tasks: typing.Sequence[TaskSpec]) -> str:
     return "c" + hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
+def parse_seeds(value: typing.Any) -> typing.List[int]:
+    """The seed vocabulary of ``--seeds`` and of serve specs: a count N
+    (seeds ``0..N-1``), an ``'A:B'`` half-open range, or a list of ints."""
+    if isinstance(value, bool):
+        raise ValueError("must be a count, an 'A:B' range, or a list of ints")
+    if isinstance(value, int):
+        seeds = list(range(value))
+    elif isinstance(value, str):
+        start, sep, stop = value.partition(":")
+        try:
+            if sep:
+                seeds = list(range(int(start), int(stop)))
+            else:
+                seeds = list(range(int(value)))
+        except ValueError:
+            raise ValueError(f"{value!r} is not a count N or an 'A:B' range") from None
+    elif isinstance(value, list) and all(
+        isinstance(s, int) and not isinstance(s, bool) for s in value
+    ):
+        seeds = list(value)
+    else:
+        raise ValueError("must be a count, an 'A:B' range, or a list of ints")
+    if not seeds:
+        raise ValueError(f"{value!r} selects no seeds")
+    return seeds
+
+
 def experiment_accepts_seed(name: str) -> bool:
     """Whether the registered experiment takes a ``seed`` parameter."""
     return _accepts_param(name, "seed")

@@ -459,7 +459,11 @@ def _make_handler(daemon: ServeDaemon):
                 upstream += f"?{query}"
             try:
                 response = urllib.request.urlopen(upstream, timeout=30)
-            except (urllib.error.URLError, OSError):
+            except urllib.error.HTTPError as exc:
+                # The live plane answered with an error (e.g. a bad
+                # query): relay its status and body, not a dead upstream.
+                response = exc
+            except OSError:
                 self._error(409, f"job {job_id!r} live plane is gone (job finished?)")
                 return
             with response:

@@ -4,7 +4,8 @@ Thin, dependency-free wrapper used by the ``python -m repro
 submit/status/artifacts`` subcommands, the examples, and the tests —
 anything that would otherwise hand-roll ``urllib`` calls against
 :mod:`repro.serve.api`.  Errors surface as :class:`ServeApiError`
-carrying the HTTP status and the API's JSON error body.
+carrying the HTTP status and the API's JSON error body; a control
+plane that never answers raises it too, with no status.
 """
 
 from __future__ import annotations
@@ -18,11 +19,13 @@ import urllib.request
 
 
 class ServeApiError(RuntimeError):
-    """An API call failed; ``status`` and ``body`` carry the details."""
+    """An API call failed; ``status`` and ``body`` carry the details.
 
-    def __init__(self, status: int, body: typing.Any) -> None:
+    ``status`` is None when the control plane never answered."""
+
+    def __init__(self, status: typing.Optional[int], body: typing.Any) -> None:
         message = body.get("error") if isinstance(body, dict) else str(body)
-        super().__init__(f"HTTP {status}: {message}")
+        super().__init__(message if status is None else f"HTTP {status}: {message}")
         self.status = status
         self.body = body
 
@@ -74,6 +77,12 @@ class ServeClient:
             except (ValueError, UnicodeDecodeError):
                 body = raw.decode(errors="replace")
             raise ServeApiError(exc.code, body) from None
+        except OSError as exc:
+            # No HTTP answer at all: refused, unresolvable, timed out.
+            reason = getattr(exc, "reason", exc)
+            raise ServeApiError(
+                None, f"cannot reach {self.base_url}: {reason}"
+            ) from None
 
     def _json(self, path: str, method: str = "GET",
               payload: typing.Optional[dict] = None) -> dict:

@@ -33,7 +33,7 @@ import typing
 
 from ..measure.experiment import get_experiment
 from ..runner import CampaignPlan
-from ..runner.plan import unaccepted_params
+from ..runner.plan import parse_seeds, unaccepted_params
 
 #: Every key a campaign spec may carry, with its expected shape.
 SPEC_KEYS = (
@@ -68,29 +68,6 @@ class SpecError(ValueError):
     def __init__(self, errors: typing.Sequence[str]) -> None:
         super().__init__("; ".join(errors))
         self.errors = list(errors)
-
-
-def parse_seeds(value: typing.Any) -> typing.List[int]:
-    """Seed vocabulary shared with the CLI: count, ``A:B`` range, or list."""
-    if isinstance(value, bool):
-        raise ValueError("seeds must be a count, an 'A:B' range, or a list")
-    if isinstance(value, int):
-        seeds = list(range(value))
-    elif isinstance(value, str):
-        if ":" in value:
-            start, _, stop = value.partition(":")
-            seeds = list(range(int(start), int(stop)))
-        else:
-            seeds = list(range(int(value)))
-    elif isinstance(value, list) and all(
-        isinstance(s, int) and not isinstance(s, bool) for s in value
-    ):
-        seeds = list(value)
-    else:
-        raise ValueError("seeds must be a count, an 'A:B' range, or a list of ints")
-    if not seeds:
-        raise ValueError("seeds selects no seeds")
-    return seeds
 
 
 def validate_spec(spec: typing.Any) -> typing.List[str]:

@@ -15,12 +15,15 @@ handle allocation because they never cancel.  Cancelled entries are
 skipped lazily at pop time and the heap is compacted in place when they
 dominate it.
 
-Observability hangs off the kernel too: ``sim.obs`` is either an enabled
-:class:`~repro.obs.Observability` (its registry and tracer are what every
-instrumented layer writes into) or the shared no-op ``NULL_OBS``.  The
-kernel itself reports event dispatch counts, heap depth, and a per-
-callback wall-time profile — the first place to look when a campaign
-task is slow.
+Observability hangs off the kernel too: ``sim.obs`` is an
+:class:`~repro.obs.Observability` bundle (its registry and tracer are
+what every instrumented layer writes into) — full, metrics-only
+(``trace=False``), or the shared no-op ``NULL_OBS``.  Only a full bundle
+sets ``observe_kernel``: the kernel then reports event dispatch counts,
+heap depth, and a per-callback wall-time profile — the first place to
+look when a campaign task is slow.  Either way :meth:`Simulator.run` is
+one loop that picks the profiled or the plain dispatch once, so an
+observed run dispatches exactly what an unobserved one does.
 """
 
 from __future__ import annotations
@@ -72,10 +75,10 @@ class Simulator:
             obs = observability_for_new_simulator()
         self.obs = obs
         obs.bind(self)
-        #: Cached flag so the disabled path is one attribute check.
+        #: Cached flag so the unprofiled path is one local check.
         #: Metrics-only bundles keep layer instruments live but opt out
         #: of per-event kernel profiling via ``observe_kernel``.
-        self._obs_enabled = obs.enabled and getattr(obs, "observe_kernel", True)
+        self._obs_enabled = obs.observe_kernel
         if self._obs_enabled:
             registry = obs.registry
             self._registry = registry
@@ -250,68 +253,35 @@ class Simulator:
         Returns the simulation time when execution stopped. When ``until``
         is given the clock is advanced to exactly ``until`` even if the
         last event fired earlier, matching wall-clock experiment windows.
+        Observed and unobserved runs share this loop: whether a dispatch
+        is profiled is decided once, before it starts.
         """
         heap = self._heap
         heappop = heapq.heappop
         observed = self._obs_enabled
-        if observed:
-            return self._run_observed(until)
-        if until is None:
-            events = 0
-            while heap:
+        dispatch = self._dispatch_observed
+        limit = math.inf if until is None else until
+        events = 0
+        try:
+            while heap and heap[0][0] <= limit:
                 entry = heappop(heap)
                 handle = entry[5]
                 if handle is not None:
                     if handle.cancelled:
                         self._cancelled_in_heap -= 1
+                        if observed:
+                            self._cancelled_counter.inc()
                         continue
                     handle._sim = None
                 self._now = entry[0]
                 events += 1
-                entry[3](*entry[4])
+                if observed:
+                    dispatch(entry)
+                else:
+                    entry[3](*entry[4])
+        finally:
+            # Counted even if a callback raises.
             self.event_count += events
-            return self._now
-        events = 0
-        while heap:
-            entry = heap[0]
-            if entry[0] > until:
-                break
-            heappop(heap)
-            handle = entry[5]
-            if handle is not None:
-                if handle.cancelled:
-                    self._cancelled_in_heap -= 1
-                    continue
-                handle._sim = None
-            self._now = entry[0]
-            events += 1
-            entry[3](*entry[4])
-        self.event_count += events
-        self._now = max(self._now, until)
-        return self._now
-
-    def _run_observed(self, until: typing.Optional[float]) -> float:
-        """The instrumented twin of :meth:`run`: the same loop, with each
-        dispatch profiled by :meth:`_dispatch_observed`."""
-        heap = self._heap
-        heappop = heapq.heappop
-        dispatch = self._dispatch_observed
-        cancelled_counter = self._cancelled_counter
-        while heap:
-            entry = heap[0]
-            if until is not None and entry[0] > until:
-                break
-            heappop(heap)
-            handle = entry[5]
-            if handle is not None:
-                if handle.cancelled:
-                    self._cancelled_in_heap -= 1
-                    cancelled_counter.inc()
-                    continue
-                handle._sim = None
-            self._now = entry[0]
-            self.event_count += 1
-            dispatch(entry)
         if until is not None:
             self._now = max(self._now, until)
         return self._now

@@ -127,3 +127,17 @@ def test_campaign_parallel_smoke(tmp_path, capsys):
 def test_campaign_seed_parsing_rejects_empty():
     with pytest.raises(SystemExit):
         main(["campaign", "--experiments", "cli-quick", "--seeds", "3:3", "--serial"])
+
+
+@pytest.mark.parametrize("seeds", ["abc", "3:1"])
+@pytest.mark.parametrize(
+    "argv",
+    [["campaign", "--experiments", "cli-quick"], ["chaos"], ["qoe"]],
+    ids=["campaign", "chaos", "qoe"],
+)
+def test_bad_seeds_exit_2_with_one_line_naming_the_flag(argv, seeds, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--seeds", seeds, "--serial", "--no-cache"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("--seeds"), err

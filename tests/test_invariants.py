@@ -1,5 +1,8 @@
 """Cross-layer conservation invariants of the whole simulation."""
 
+import hashlib
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +10,7 @@ from repro.capture.sniffer import DOWNLINK, UPLINK
 from repro.measure.session import Testbed
 from repro.net.link import Link
 from repro.net.packet import Protocol
+from repro.obs import NULL_OBS, MetricsOnlyObservability, Observability
 from repro.simcore import Simulator
 
 
@@ -125,3 +129,44 @@ def test_event_count_is_deterministic():
         return testbed.sim.event_count
 
     assert run(9) == run(9)
+
+
+def _capture_digest(testbed) -> str:
+    """SHA-256 over every station's AP capture, in record order."""
+    digest = hashlib.sha256()
+    for station in testbed.stations:
+        for r in station.sniffer.records:
+            digest.update(
+                struct.pack(
+                    "<dIHIHi",
+                    r.time,
+                    r.src.ip.value,
+                    r.src.port,
+                    r.dst.ip.value,
+                    r.dst.port,
+                    r.size,
+                )
+            )
+            digest.update(r.direction.encode())
+    return digest.hexdigest()
+
+
+def test_split_testbed_runs_match_one_run_under_every_bundle():
+    """A session run to 30 s in one go, or stopped at 7.5, 12 and 12 s
+    on the way, captures the same packets and dispatches the same
+    events, whichever observability bundle the simulator carries."""
+
+    def run(make_obs, untils):
+        testbed = Testbed("vrchat", n_users=2, seed=3, obs=make_obs())
+        testbed.start_all(join_at=2.0)
+        testbed.add_peers(2, join_times=[2.0, 2.0])
+        for until in untils:
+            testbed.run(until=until)
+        return _capture_digest(testbed), testbed.sim.event_count
+
+    outcomes = [
+        run(make_obs, untils)
+        for make_obs in (lambda: NULL_OBS, MetricsOnlyObservability, Observability)
+        for untils in ([30.0], [7.5, 12.0, 12.0, 30.0])
+    ]
+    assert outcomes == [outcomes[0]] * 6

@@ -9,11 +9,14 @@ run serial so the stub registry below is visible to the worker.
 import json
 import math
 import pathlib
+import socket
 import time
 
 import pytest
 
+from repro.cli import main
 from repro.measure.experiment import register_experiment, unregister_experiment
+from repro.obs.live import live_server
 from repro.serve import ServeApiError, ServeClient, ServeDaemon
 from repro.serve.schema import (
     SpecError,
@@ -280,6 +283,35 @@ def test_live_proxy_conflict_when_no_live_plane(client):
     with pytest.raises(ServeApiError) as excinfo:
         client.live(job["id"], "progress")
     assert excinfo.value.status == 409  # terminal job has no live plane
+
+
+def test_live_proxy_relays_the_live_planes_own_error(tmp_path):
+    """A live plane's 400 reaches the client as that 400, not as a 409
+    "live plane is gone"."""
+    with ServeDaemon(tmp_path / "spool", n_workers=0, live_workers=False) as daemon:
+        client = ServeClient(daemon.url)
+        job_id = client.submit(SPEC)["id"]
+        assert daemon.queue.lease("test-worker", lease_s=60).id == job_id
+        with live_server(port=0) as live:
+            assert daemon.queue.set_live_url(job_id, "test-worker", live.url)
+            with pytest.raises(ServeApiError) as excinfo:
+                client.live(job_id, "events", query="limit=abc")
+    assert excinfo.value.status == 400
+    assert "limit and since must be integers" in str(excinfo.value.body)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["status"], ["submit", "--experiments", "serve-stub"], ["artifacts", "job"]],
+    ids=["status", "submit", "artifacts"],
+)
+def test_cli_reports_an_unreachable_control_plane_in_one_line(argv, capsys):
+    with socket.socket() as sock:  # bound, then closed: nothing listens
+        sock.bind(("127.0.0.1", 0))
+        url = f"http://127.0.0.1:{sock.getsockname()[1]}"
+    assert main([*argv, "--url", url]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and url in err, err
 
 
 # ----------------------------------------------------------------------

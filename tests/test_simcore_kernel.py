@@ -1,9 +1,13 @@
 """Unit tests for the discrete-event kernel."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.obs import Observability
+from repro.obs import NULL_OBS, MetricsOnlyObservability, Observability
 from repro.simcore import SimulationError, Simulator
+
+#: The three observability configurations a simulator can run under.
+BUNDLES = (lambda: NULL_OBS, MetricsOnlyObservability, Observability)
 
 
 def test_clock_starts_at_zero(sim):
@@ -91,6 +95,68 @@ def test_run_until_ignores_events_behind_a_cancelled_head(observed):
     assert fired == []
     assert sim.now == 2.0
     assert sim.pending_events() == 1
+
+
+#: Event times on a quarter-second grid, so ties and events landing
+#: exactly on a split point are common.
+_grid_time = st.integers(min_value=0, max_value=40).map(lambda t: t / 4)
+
+
+def _replay(make_obs, events, head, untils):
+    """Schedule ``events``, run to each of ``untils`` in turn, and return
+    what fired (in order), the event count and the final clock."""
+    sim = Simulator(seed=0, obs=make_obs())
+    fired = []
+    handles = []
+
+    def fire(tag, follow_s, cancel_index):
+        fired.append((sim.now, tag))
+        if cancel_index is not None:
+            handles[cancel_index % len(handles)].cancel()
+        if follow_s is not None:
+            sim.schedule(follow_s, fire, f"{tag}+", None, None)
+
+    for tag, (time, priority, cancelled, follow_s, cancel_index) in enumerate(events):
+        handle = sim.schedule_at(
+            time, fire, tag, follow_s, cancel_index, priority=priority
+        )
+        handles.append(handle)
+        if cancelled:
+            handle.cancel()
+    # A cancelled entry exactly at the first split point: skipping it
+    # must not let a later event through ``run(until=head)``.
+    sim.schedule_at(head, fire, "head", None, None).cancel()
+    for until in untils:
+        assert sim.run(until=until) == until
+    dispatched = sim.obs.registry.value("sim.events_dispatched")
+    assert dispatched in (None, sim.event_count)  # None: kernel not profiled
+    return fired, sim.event_count, sim.now
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    events=st.lists(
+        st.tuples(
+            _grid_time,
+            st.integers(min_value=-1, max_value=1),
+            st.booleans(),
+            st.none() | _grid_time,
+            st.none() | st.integers(min_value=0, max_value=99),
+        ),
+        max_size=40,
+    ),
+    a=_grid_time,
+    gap=_grid_time,
+)
+def test_split_runs_dispatch_what_one_run_does(events, a, gap):
+    """``run(until=a)`` (twice) then ``run(until=b)`` dispatches exactly
+    what one ``run(until=b)`` does, in the same order and to the same
+    clock, under every observability configuration."""
+    b = a + gap
+    reference = _replay(BUNDLES[0], events, a, [b])
+    for make_obs in BUNDLES:
+        assert _replay(make_obs, events, a, [b]) == reference
+        assert _replay(make_obs, events, a, [a, a, b]) == reference
 
 
 def test_run_until_advances_clock_even_without_events(sim):
