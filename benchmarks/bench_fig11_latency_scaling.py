@@ -1,39 +1,12 @@
 """Fig. 11: end-to-end latency vs number of users (2-7)."""
 
-from repro.core.api import fig11_latency_scaling
-from repro.measure.report import render_table
+from repro.measure.record import BLOCKS
 
-USER_COUNTS = (2, 3, 5, 7)
-
-#: Paper anchors: E2E at 2 and 7 users.
-PAPER_ANCHORS = {
-    "hubs": (239.1, 295.4),
-    "worlds": (128.5, 181.4),
-    "recroom": (101.7, 140.3),
-}
+FIG11 = BLOCKS["fig11"]
 
 
-def test_fig11_latency_scaling(benchmark, paper_report):
-    results = benchmark.pedantic(
-        fig11_latency_scaling,
-        kwargs={"user_counts": USER_COUNTS, "seed": 0},
-        rounds=1,
-        iterations=1,
-    )
-    headers = ["Platform"] + [f"n={n}" for n in USER_COUNTS] + ["paper n=2", "paper n=7"]
-    rows = []
-    for name, series in results.items():
-        anchors = PAPER_ANCHORS.get(name, ("-", "-"))
-        rows.append(
-            [name]
-            + [f"{item.e2e.mean:.1f}" for item in series]
-            + [anchors[0], anchors[1]]
-        )
-    paper_report(
-        "Fig. 11 — E2E latency vs event size (paper: grows with users, with "
-        "increasing per-user deltas)",
-        render_table(headers, rows),
-    )
+def test_fig11_latency_scaling(paper_report):
+    results = paper_report(FIG11)
     for name, series in results.items():
         e2e = [item.e2e.mean for item in series]
         assert e2e == sorted(e2e), name

@@ -1,46 +1,12 @@
 """Fig. 12: Worlds under staged downlink bandwidth limits (Arena Clash)."""
 
-from repro.core.api import fig12_downlink_disruption
-from repro.measure.report import render_series, render_table
+from repro.measure.record import BLOCKS
+
+FIG12 = BLOCKS["fig12"]
 
 
-def test_fig12_downlink_disruption(benchmark, paper_report):
-    run = benchmark.pedantic(fig12_downlink_disruption, rounds=1, iterations=1)
-    headers = [
-        "Stage (Mbps)",
-        "Uplink (Kbps)",
-        "Downlink (Kbps)",
-        "CPU %",
-        "GPU %",
-        "FPS",
-        "Stale/s",
-    ]
-    rows = [
-        [
-            stage.label,
-            f"{stage.up_kbps.mean:.0f}",
-            f"{stage.down_kbps.mean:.0f}",
-            f"{stage.cpu_pct.mean:.0f}",
-            f"{stage.gpu_pct.mean:.0f}",
-            f"{stage.fps.mean:.0f}",
-            f"{stage.stale_per_s.mean:.0f}",
-        ]
-        for stage in run.stages
-    ]
-    text = (
-        render_table(headers, rows)
-        + "\n\n"
-        + render_series("uplink over time (Kbps)", run.up_kbps)
-        + "\n"
-        + render_series("downlink over time (Kbps)", run.down_kbps)
-    )
-    paper_report(
-        "Fig. 12 — Worlds downlink disruption (paper: client uses all "
-        "remaining bandwidth; tight downlink disturbs the uplink, raises "
-        "CPU toward 100%, drops GPU slightly, FPS collapses with stale "
-        "frames, everything recovers at 'N')",
-        text,
-    )
+def test_fig12_downlink_disruption(paper_report):
+    run = paper_report(FIG12)
     baseline, tight, recovery = run.stages[0], run.stages[5], run.stages[-1]
     assert tight.up_kbps.mean < 0.6 * baseline.up_kbps.mean
     assert tight.cpu_pct.mean > baseline.cpu_pct.mean + 20

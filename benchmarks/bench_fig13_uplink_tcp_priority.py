@@ -1,49 +1,12 @@
 """Fig. 13: uplink shaping and the TCP-over-UDP priority of Worlds."""
 
-from repro.core.api import fig13_uplink_disruption
-from repro.measure.report import render_series, render_table
+from repro.measure.record import BLOCKS
+
+FIG13 = BLOCKS["fig13"]
 
 
-def test_fig13_uplink_and_tcp_priority(benchmark, paper_report):
-    bandwidth_run, tcp_run = benchmark.pedantic(
-        fig13_uplink_disruption, rounds=1, iterations=1
-    )
-    headers = ["Stage", "UDP up (Kbps)", "TCP up (Kbps)", "Downlink (Kbps)"]
-
-    def stage_rows(run):
-        return [
-            [
-                stage.label,
-                f"{stage.udp_up_kbps.mean:.0f}",
-                f"{stage.tcp_up_kbps.mean:.0f}",
-                f"{stage.down_kbps.mean:.0f}",
-            ]
-            for stage in run.stages
-        ]
-
-    text = (
-        render_table(headers, stage_rows(bandwidth_run), title="Top: uplink bandwidth stages (Mbps)")
-        + "\n\n"
-        + render_table(
-            headers,
-            stage_rows(tcp_run),
-            title="Bottom: TCP-only shaping (delay 5/10/15 s, then 100% loss)",
-        )
-        + "\n\n"
-        + render_series("UDP uplink over time (Kbps)", tcp_run.udp_up_kbps)
-        + "\n"
-        + render_series("TCP uplink over time (Kbps)", tcp_run.tcp_up_kbps)
-        + "\n\n"
-        + f"UDP session dead: {tcp_run.udp_dead}  screen frozen: {tcp_run.frozen}  "
-        + f"TCP recovered: {tcp_run.tcp_recovered}  "
-        + f"clock sync stale during delays: {tcp_run.clock_sync_stale_during_delay}"
-    )
-    paper_report(
-        "Fig. 13 — Worlds uplink disruption (paper: UDP gaps track the TCP "
-        "delay; 100% TCP loss kills UDP after ~30 s and freezes the screen; "
-        "TCP recovers, UDP does not; the game clock stalls)",
-        text,
-    )
+def test_fig13_uplink_and_tcp_priority(paper_report):
+    bandwidth_run, tcp_run = paper_report(FIG13)
     assert tcp_run.udp_dead and tcp_run.frozen and tcp_run.tcp_recovered
     assert tcp_run.stages[-1].udp_up_kbps.mean < 5.0
     # Uplink restriction also drags the downlink down (U2's recovery).

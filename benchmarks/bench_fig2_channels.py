@@ -1,40 +1,12 @@
 """Fig. 2: control/data channel throughput across welcome -> event."""
 
-from repro.core.api import fig2_channel_timelines
-from repro.measure.report import render_series
+from repro.measure.record import BLOCKS
+
+FIG2 = BLOCKS["fig2"]
 
 
-def test_fig2_channel_timelines(benchmark, paper_report):
-    timelines = benchmark.pedantic(
-        fig2_channel_timelines, kwargs={"seed": 0}, rounds=1, iterations=1
-    )
-    blocks = []
-
-    def clipped(series, cap=600.0):
-        # Like the paper's Fig. 2 note: omit the >100 Mbps initial data
-        # download of Hubs so the channel pattern stays readable.
-        return [min(value, cap) for value in series]
-
-    for name, timeline in timelines.items():
-        join = int(timeline.event_join_at)
-        blocks.append(f"--- {name} (event join at {join}s; downloads clipped) ---")
-        blocks.append(
-            render_series("control uplink (Kbps)", clipped(timeline.control_up_kbps))
-        )
-        blocks.append(
-            render_series(
-                "control downlink (Kbps)", clipped(timeline.control_down_kbps)
-            )
-        )
-        blocks.append(render_series("data uplink (Kbps)", clipped(timeline.data_up_kbps)))
-        blocks.append(
-            render_series("data downlink (Kbps)", clipped(timeline.data_down_kbps))
-        )
-    paper_report(
-        "Fig. 2 — Channel activity per stage (paper: control busy on the "
-        "welcome page, data during the event; Hubs keeps both active)",
-        "\n".join(blocks),
-    )
+def test_fig2_channel_timelines(paper_report):
+    timelines = paper_report(FIG2)
     vrchat = timelines["vrchat"]
     join = int(vrchat.event_join_at)
     assert sum(vrchat.data_down_kbps[:join]) < 5.0

@@ -1,25 +1,11 @@
 """Fig. 3: U1's uplink mirrored in U2's downlink (direct forwarding)."""
 
-from repro.core.api import fig3_forwarding
-from repro.measure.report import render_series, render_table
+from repro.measure.record import BLOCKS
+
+FIG3 = BLOCKS["fig3"]
 
 
-def test_fig3_forwarding(benchmark, paper_report):
-    evidence = benchmark.pedantic(
-        fig3_forwarding, kwargs={"seed": 0}, rounds=1, iterations=1
-    )
-    blocks = []
-    rows = []
-    for name, item in evidence.items():
-        blocks.append(f"--- {name} ---")
-        blocks.append(render_series("U1 uplink (Kbps)", item.u1_up_kbps))
-        blocks.append(render_series("U2 downlink (Kbps)", item.u2_down_kbps))
-        rows.append([name, f"{item.corr:.3f}", f"{item.down_up_ratio:.3f}"])
-    table = render_table(["Platform", "corr(U1 up, U2 down)", "down/up ratio"], rows)
-    paper_report(
-        "Fig. 3 — Forwarding evidence (paper: series match; Worlds' "
-        "downlink is a stable fraction of the uplink)",
-        "\n".join(blocks) + "\n\n" + table,
-    )
+def test_fig3_forwarding(paper_report):
+    evidence = paper_report(FIG3)
     assert evidence["recroom"].corr > 0.55
     assert 0.4 < evidence["worlds"].down_up_ratio < 0.75

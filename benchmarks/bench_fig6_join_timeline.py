@@ -1,38 +1,12 @@
 """Fig. 6: throughput as users join one by one; U1 turns away at 250 s."""
 
-from repro.core.api import fig6_join_timelines
-from repro.measure.report import render_series, render_table
+from repro.measure.record import BLOCKS
+
+FIG6 = BLOCKS["fig6"]
 
 
-def test_fig6_join_timelines(benchmark, paper_report):
-    timelines = benchmark.pedantic(
-        fig6_join_timelines, kwargs={"seed": 0}, rounds=1, iterations=1
-    )
-    blocks = []
-    rows = []
-    for name, timeline in timelines.items():
-        blocks.append(
-            f"--- {name} (joins at {timeline.join_times}, turn at "
-            f"{timeline.turn_at:.0f}s) ---"
-        )
-        blocks.append(render_series("downlink (Kbps)", timeline.down_kbps))
-        blocks.append(render_series("uplink (Kbps)", timeline.up_kbps))
-        rows.append(
-            [
-                name,
-                f"{timeline.down_before_turn_kbps:.1f}",
-                f"{timeline.down_after_turn_kbps:.1f}",
-            ]
-        )
-    table = render_table(
-        ["Platform", "down before turn (Kbps)", "down after turn (Kbps)"], rows
-    )
-    paper_report(
-        "Fig. 6 — Join timeline (paper: downlink steps up per join on all "
-        "platforms; only AltspaceVR's drops when avatars leave the viewport; "
-        "altspacevr-exp2 starts facing a corner, Fig. 6(f))",
-        "\n".join(blocks) + "\n\n" + table,
-    )
+def test_fig6_join_timelines(paper_report):
+    timelines = paper_report(FIG6)
     altspace = timelines["altspacevr"]
     assert altspace.down_after_turn_kbps < 0.6 * altspace.down_before_turn_kbps
     vrchat = timelines["vrchat"]

@@ -1,41 +1,13 @@
 """Fig. 7: downlink throughput and FPS vs number of users (1-15)."""
 
-from repro.core.api import fig7_fig8_user_sweep
-from repro.measure.report import render_table
+from repro.measure.record import BLOCKS
 from repro.measure.stats import linearity_r2
 
-USER_COUNTS = (1, 2, 3, 5, 7, 10, 12, 15)
+FIG7 = BLOCKS["fig7"]
 
 
-def test_fig7_throughput_and_fps(benchmark, paper_report):
-    sweeps = benchmark.pedantic(
-        fig7_fig8_user_sweep,
-        kwargs={"user_counts": USER_COUNTS, "seed": 0},
-        rounds=1,
-        iterations=1,
-    )
-    headers = ["Platform"] + [f"n={n}" for n in USER_COUNTS] + ["R2(linear)"]
-    throughput_rows = []
-    fps_rows = []
-    for name, points in sweeps.items():
-        downs = [p.down_kbps.mean for p in points]
-        r2 = linearity_r2([p.n_users for p in points], downs)
-        throughput_rows.append(
-            [name] + [f"{d / 1000:.2f}" for d in downs] + [f"{r2:.3f}"]
-        )
-        fps_rows.append(
-            [name] + [f"{p.fps.mean:.0f}" for p in points] + [""]
-        )
-    text = (
-        render_table(headers, throughput_rows, title="Downlink (Mbps)")
-        + "\n\n"
-        + render_table(headers, fps_rows, title="Average FPS")
-    )
-    paper_report(
-        "Fig. 7 — Scalability sweep (paper: linear downlink growth, Worlds "
-        ">4.5 Mbps at 15 users; FPS drops ~25% on Worlds, 72->33 on Hubs)",
-        text,
-    )
+def test_fig7_throughput_and_fps(paper_report):
+    sweeps = paper_report(FIG7)
     worlds = sweeps["worlds"]
     assert worlds[-1].down_kbps.mean > 4200.0
     hubs_fps = {p.n_users: p.fps.mean for p in sweeps["hubs"]}

@@ -1,38 +1,12 @@
 """Fig. 8: CPU/GPU utilization and memory footprint vs number of users."""
 
-from repro.core.api import fig7_fig8_user_sweep
-from repro.measure.report import render_table
+from repro.measure.record import BLOCKS
 
-USER_COUNTS = (1, 5, 10, 15)
+FIG8 = BLOCKS["fig8"]
 
 
-def test_fig8_resources(benchmark, paper_report):
-    sweeps = benchmark.pedantic(
-        fig7_fig8_user_sweep,
-        kwargs={"user_counts": USER_COUNTS, "seed": 1},
-        rounds=1,
-        iterations=1,
-    )
-    headers = (
-        ["Platform"]
-        + [f"CPU n={n}" for n in USER_COUNTS]
-        + [f"GPU n={n}" for n in USER_COUNTS]
-        + ["Mem n=1 (MB)", "Mem n=15 (MB)"]
-    )
-    rows = []
-    for name, points in sweeps.items():
-        rows.append(
-            [name]
-            + [f"{p.cpu_pct.mean:.0f}" for p in points]
-            + [f"{p.gpu_pct.mean:.0f}" for p in points]
-            + [f"{points[0].memory_mb.mean:.0f}", f"{points[-1].memory_mb.mean:.0f}"]
-        )
-    paper_report(
-        "Fig. 8 — On-device resources (paper: Hubs CPU highest, ~100% at 15; "
-        "AltspaceVR leans on the GPU (+25% GPU vs +15% CPU); ~10 MB per avatar; "
-        "Worlds ~2 GB at 15 users)",
-        render_table(headers, rows),
-    )
+def test_fig8_resources(paper_report):
+    sweeps = paper_report(FIG8)
     cpu_at_15 = {name: points[-1].cpu_pct.mean for name, points in sweeps.items()}
     assert max(cpu_at_15, key=cpu_at_15.get) == "hubs"
     altspace = sweeps["altspacevr"]

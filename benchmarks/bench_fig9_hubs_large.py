@@ -1,28 +1,14 @@
 """Fig. 9: large-scale event on the private Hubs server (up to 28 users)."""
 
-from repro.core.api import fig9_hubs_large_scale
-from repro.measure.report import render_table
+from repro.measure.record import BLOCKS
 from repro.measure.stats import linearity_r2, percent_change
 
-USER_COUNTS = (15, 20, 25, 28)
+FIG9 = BLOCKS["fig9"]
+USER_COUNTS = FIG9.kwargs["user_counts"]
 
 
-def test_fig9_hubs_large_scale(benchmark, paper_report):
-    points = benchmark.pedantic(
-        fig9_hubs_large_scale,
-        kwargs={"user_counts": USER_COUNTS, "seed": 0},
-        rounds=1,
-        iterations=1,
-    )
-    rows = [
-        [p.n_users, f"{p.down_kbps.mean / 1000:.2f}", f"{p.fps.mean:.0f}"]
-        for p in points
-    ]
-    paper_report(
-        "Fig. 9 — Private Hubs server, 15-28 users (paper: downlink keeps "
-        "growing linearly to ~2 Mbps; FPS drops another ~32%)",
-        render_table(["Users", "Downlink (Mbps)", "FPS"], rows),
-    )
+def test_fig9_hubs_large_scale(paper_report):
+    points = paper_report(FIG9)
     downs = [p.down_kbps.mean for p in points]
     assert linearity_r2(USER_COUNTS, downs) > 0.97
     assert downs[-1] > 1800.0

@@ -1,44 +1,12 @@
 """Sec. 6.3 ablation: remote rendering vs the forwarding architecture."""
 
-from repro.core.api import remote_rendering_study
-from repro.measure.report import render_table
+from repro.measure.record import BLOCKS
+
+REMOTE_RENDERING = BLOCKS["remote-rendering"]
 
 
-def test_remote_rendering_ablation(benchmark, paper_report):
-    study = benchmark.pedantic(
-        remote_rendering_study,
-        kwargs={"user_counts": (2, 5, 15, 50, 100)},
-        rounds=1,
-        iterations=1,
-    )
-    comparison_rows = [
-        [
-            item.n_users,
-            f"{item.forwarding_mbps:.2f}",
-            f"{item.remote_rendering_mbps:.2f}",
-            "RR" if item.remote_rendering_wins else "forwarding",
-        ]
-        for item in study["comparison"]
-    ]
-    ablation_rows = [
-        [point.n_users, f"{point.down_mbps:.2f}"] for point in study["ablation"]
-    ]
-    text = (
-        render_table(
-            ["Users", "Forwarding (Mbps)", "Remote rendering (Mbps)", "Cheaper"],
-            comparison_rows,
-            title="Analytical comparison (Worlds-grade avatars, 1080p60 stream)",
-        )
-        + f"\n\ncrossover at {study['crossover_users']} users "
-        "(paper: ~100-user Worlds event would need ~30 Mbps downlink, above "
-        "the 25 Mbps FCC broadband bar)\n\n"
-        + render_table(
-            ["Users in room", "Viewer downlink (Mbps)"],
-            ablation_rows,
-            title="Packet-level ablation: remote-rendering viewer downlink is flat",
-        )
-    )
-    paper_report("Sec. 6.3 — Remote rendering as the scalability fix", text)
+def test_remote_rendering_ablation(paper_report):
+    study = paper_report(REMOTE_RENDERING)
     downs = [p.down_mbps for p in study["ablation"]]
     assert max(downs) - min(downs) < 0.05 * max(downs)
     assert study["comparison"][-1].remote_rendering_wins

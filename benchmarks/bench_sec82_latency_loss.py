@@ -1,35 +1,12 @@
 """Sec. 8.2: latency and packet-loss disruption QoE."""
 
-from repro.core.api import latency_loss_qoe
-from repro.measure.report import render_table
+from repro.measure.record import BLOCKS
+
+LATENCY_LOSS = BLOCKS["latency-loss"]
 
 
-def test_sec82_latency_loss_qoe(benchmark, paper_report):
-    results = benchmark.pedantic(
-        latency_loss_qoe,
-        kwargs={
-            "platforms": ("recroom", "worlds"),
-            "latency_stages_ms": (50, 100, 200, 300),
-            "loss_stages": (0.05, 0.10, 0.20),
-            "seed": 0,
-        },
-        rounds=1,
-        iterations=1,
-    )
-    headers = ["Platform", "Disruption", "Disturbed?", "Why"]
-    rows = []
-    for name, assessments in results.items():
-        for item in assessments:
-            if item.loss_rate > 0:
-                label = f"loss {item.loss_rate:.0%}"
-            else:
-                label = f"+{item.added_latency_ms:.0f} ms"
-            rows.append([name, label, "yes" if item.disturbed else "no", item.reason])
-    paper_report(
-        "Sec. 8.2 — Latency/loss QoE (paper: chat degrades past ~300 ms E2E; "
-        "games already suffer at +50 ms; up to 20% loss is imperceptible)",
-        render_table(headers, rows),
-    )
+def test_sec82_latency_loss_qoe(paper_report):
+    results = paper_report(LATENCY_LOSS)
     recroom = results["recroom"]
     lat_300 = next(a for a in recroom if a.added_latency_ms == 300)
     assert lat_300.disturbed

@@ -6,44 +6,14 @@ remain"), interest-scoped rates (Donnybrook-style), and remote
 rendering (covered by bench_remote_rendering).
 """
 
-from repro.core.solutions import compare_solutions
-from repro.measure.report import render_table
+from repro.measure.record import BLOCKS
 
-USER_COUNTS = (2, 5, 10, 15)
+SOLUTIONS = BLOCKS["solutions"]
+VIEWPORT_TRADEOFF = BLOCKS["viewport-tradeoff"]
 
 
-def test_solutions_ablation(benchmark, paper_report):
-    results = benchmark.pedantic(
-        compare_solutions,
-        kwargs={"user_counts": USER_COUNTS, "platform": "worlds", "seed": 0},
-        rounds=1,
-        iterations=1,
-    )
-    headers = [
-        "Architecture",
-        "Users",
-        "Viewer down (Kbps)",
-        "Client up (Kbps)",
-        "Server fwd (Kbps)",
-    ]
-    rows = []
-    for architecture, points in results.items():
-        for point in points:
-            rows.append(
-                [
-                    architecture,
-                    point.n_users,
-                    f"{point.viewer_down_kbps:.0f}",
-                    f"{point.viewer_up_kbps:.0f}",
-                    f"{point.server_forwarded_kbps:.0f}",
-                ]
-            )
-    paper_report(
-        "Ablation — candidate architectures (paper Sec. 6.2/6.3: P2P removes "
-        "the server but uplink now scales with the room; interest scoping "
-        "bends the downlink curve; forwarding is today's linear baseline)",
-        render_table(headers, rows),
-    )
+def test_solutions_ablation(paper_report):
+    results = paper_report(SOLUTIONS)
     p2p = results["p2p"]
     assert p2p[-1].viewer_up_kbps > 5 * p2p[0].viewer_up_kbps  # uplink scales
     assert all(point.server_forwarded_kbps == 0 for point in p2p)
@@ -52,24 +22,8 @@ def test_solutions_ablation(benchmark, paper_report):
     assert interest[-1].viewer_down_kbps < 0.6 * forwarding[-1].viewer_down_kbps
 
 
-def test_viewport_prediction_tradeoff(benchmark, paper_report):
-    from repro.measure.prediction import run_viewport_tradeoff
-
-    points = benchmark.pedantic(run_viewport_tradeoff, rounds=1, iterations=1)
-    rows = [
-        [
-            point.label,
-            f"{point.missing_fraction:.1%}",
-            f"{point.savings_fraction:.1%}",
-        ]
-        for point in points
-    ]
-    paper_report(
-        "Ablation — viewport filtering trade-off (Sec. 6.1: the server "
-        "viewport is wider than the FoV to absorb prediction error; a "
-        "yaw-rate predictor achieves the same with a narrower cone)",
-        render_table(["Configuration", "Missing content", "Data savings"], rows),
-    )
+def test_viewport_prediction_tradeoff(paper_report):
+    points = paper_report(VIEWPORT_TRADEOFF)
     bare, widened, predicted = points
     assert bare.missing_fraction > 0.05
     assert widened.missing_fraction < 0.02

@@ -1,13 +1,10 @@
 """Table 1: platform feature comparison."""
 
-from repro.core.api import table1_features
-from repro.measure.report import render_table
-from repro.platforms.registry import FEATURE_COLUMNS
+from repro.measure.record import BLOCKS
+
+TABLE1 = BLOCKS["table1"]
 
 
-def test_table1_features(benchmark, paper_report):
-    rows = benchmark.pedantic(table1_features, rounds=1, iterations=1)
-    headers = ["Platform", "Company"] + list(FEATURE_COLUMNS)
-    table = render_table(headers, [[row[h] for h in headers] for row in rows])
-    paper_report("Table 1 — Feature comparison of five social VR platforms", table)
+def test_table1_features(paper_report):
+    rows = paper_report(TABLE1)
     assert len(rows) == 5

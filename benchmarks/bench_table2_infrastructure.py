@@ -1,84 +1,20 @@
 """Table 2: network protocols and infrastructure of the five platforms."""
 
-from repro.core.api import table2_infrastructure
-from repro.measure.report import render_table
+from repro.measure.record import BLOCKS
+
+TABLE2 = BLOCKS["table2"]
+REGIONAL = BLOCKS["regional"]
 
 
-def test_table2_infrastructure(benchmark, paper_report):
-    reports = benchmark.pedantic(table2_infrastructure, rounds=1, iterations=1)
-    headers = [
-        "Platform",
-        "Channel",
-        "Protocol",
-        "Server Loc.",
-        "Owner",
-        "Anycast?",
-        "RTT (ms)",
-        "Method",
-    ]
-    rows = []
-    for name, report in reports.items():
-        for item in [report.control] + report.data:
-            rows.append(
-                [
-                    name,
-                    item.channel,
-                    item.protocol,
-                    item.location,
-                    item.owner,
-                    "yes" if item.anycast else "no",
-                    f"{item.east_rtt.mean:.2f}/{item.east_rtt.std:.1f}",
-                    item.rtt_method,
-                ]
-            )
-    paper_report(
-        "Table 2 — Network protocols and infrastructure "
-        "(east-coast vantage; paper: AltspaceVR/Hubs data in western US >70 ms, "
-        "Rec Room/VRChat data on Cloudflare anycast <4 ms)",
-        render_table(headers, rows),
-    )
+def test_table2_infrastructure(paper_report):
+    reports = paper_report(TABLE2)
     assert reports["altspacevr"].data[0].east_rtt.mean > 70.0
     assert bool(reports["recroom"].data[0].anycast)
 
 
-def test_table2_regional_followup(benchmark, paper_report):
+def test_table2_regional_followup(paper_report):
     """Sec. 4.2's extra probing from Los Angeles and the U.K."""
-    from repro.measure.infrastructure import regional_study
-
-    probes = benchmark.pedantic(regional_study, rounds=1, iterations=1)
-
-    def fmt(value):
-        return f"{value:.1f}" if value is not None else "-"
-
-    rows = [
-        [
-            probe.vantage,
-            probe.platform,
-            fmt(probe.control_rtt_ms),
-            probe.control_server_region,
-            fmt(probe.data_rtt_ms),
-            probe.data_server_region,
-            fmt(probe.voice_rtt_ms),
-        ]
-        for probe in probes
-    ]
-    paper_report(
-        "Sec. 4.2 — Regional follow-up (paper: AltspaceVR data ~150 ms and "
-        "Hubs WebRTC ~140 ms from Europe; Rec Room/VRChat/Worlds near "
-        "everywhere they operate; Worlds unavailable in Europe)",
-        render_table(
-            [
-                "Vantage",
-                "Platform",
-                "Control RTT",
-                "Control loc.",
-                "Data RTT",
-                "Data loc.",
-                "Voice RTT",
-            ],
-            rows,
-        ),
-    )
+    probes = paper_report(REGIONAL)
     by_key = {(p.vantage, p.platform): p for p in probes}
     assert by_key[("united-kingdom", "altspacevr")].data_rtt_ms > 130.0
     assert by_key[("united-kingdom", "hubs")].voice_rtt_ms > 130.0

@@ -1,51 +1,10 @@
 """Table 3: two-user throughput, resolution, and avatar bitrate."""
 
-from repro.measure.report import render_table
-from repro.measure.throughput import table3_row
-from repro.platforms.profiles import PLATFORM_NAMES
+from repro.measure.record import BLOCKS
 
-#: Paper values for side-by-side comparison (up, down, avatar Kbps).
-PAPER = {
-    "vrchat": (31.4, 31.3, 24.7),
-    "altspacevr": (41.3, 40.4, 11.1),
-    "recroom": (41.7, 41.5, 35.2),
-    "hubs": (83.3, 83.1, 77.4),
-    "worlds": (752.0, 413.0, 332.0),
-}
+TABLE3 = BLOCKS["table3"]
 
 
-def test_table3_throughput(benchmark, paper_report):
-    def run():
-        return {name: table3_row(name, seed=0) for name in PLATFORM_NAMES}
-
-    rows_by_name = benchmark.pedantic(run, rounds=1, iterations=1)
-    headers = [
-        "Platform",
-        "Up (Kbps)",
-        "paper",
-        "Down (Kbps)",
-        "paper",
-        "Resolution",
-        "Avatar (Kbps)",
-        "paper",
-    ]
-    rows = []
-    for name, row in rows_by_name.items():
-        paper_up, paper_down, paper_avatar = PAPER[name]
-        rows.append(
-            [
-                name,
-                str(row.up_kbps),
-                paper_up,
-                str(row.down_kbps),
-                paper_down,
-                row.resolution,
-                str(row.avatar_kbps),
-                paper_avatar,
-            ]
-        )
-    paper_report(
-        "Table 3 — Two-user data-channel throughput (measured vs paper)",
-        render_table(headers, rows),
-    )
+def test_table3_throughput(paper_report):
+    rows_by_name = paper_report(TABLE3)
     assert rows_by_name["worlds"].up_kbps.mean > 10 * rows_by_name["vrchat"].up_kbps.mean

@@ -1,53 +1,11 @@
 """Table 4: end-to-end latency and its breakdown (incl. private Hubs)."""
 
-from repro.core.api import table4_latency
-from repro.measure.report import render_table
+from repro.measure.record import BLOCKS, TABLE4_PAPER
 
-PAPER = {
-    "recroom": (101.7, 25.9, 39.9, 29.9),
-    "vrchat": (104.3, 27.3, 37.4, 33.5),
-    "worlds": (128.5, 26.2, 49.1, 40.2),
-    "altspacevr": (209.2, 24.5, 36.1, 68.6),
-    "hubs": (239.1, 42.4, 60.1, 52.2),
-    "hubs-private": (130.7, 40.3, 61.5, 16.2),
-}
+TABLE4 = BLOCKS["table4"]
 
 
-def test_table4_latency(benchmark, paper_report):
-    results = benchmark.pedantic(
-        table4_latency, kwargs={"n_actions": 20, "seed": 0}, rounds=1, iterations=1
-    )
-    headers = [
-        "Platform",
-        "E2E (ms)",
-        "paper",
-        "Sender",
-        "paper",
-        "Receiver",
-        "paper",
-        "Server",
-        "paper",
-    ]
-    rows = []
-    for name in PAPER:
-        measured = results[name]
-        paper_e2e, paper_snd, paper_rcv, paper_srv = PAPER[name]
-        rows.append(
-            [
-                name,
-                str(measured.e2e),
-                paper_e2e,
-                str(measured.sender),
-                paper_snd,
-                str(measured.receiver),
-                paper_rcv,
-                str(measured.server),
-                paper_srv,
-            ]
-        )
-    paper_report(
-        "Table 4 — End-to-end latency breakdown (measured vs paper)",
-        render_table(headers, rows),
-    )
-    e2e = {name: results[name].e2e.mean for name in PAPER}
+def test_table4_latency(paper_report):
+    results = paper_report(TABLE4)
+    e2e = {name: results[name].e2e.mean for name in TABLE4_PAPER}
     assert e2e["hubs"] > e2e["altspacevr"] > e2e["worlds"] > e2e["recroom"]

@@ -1,23 +1,10 @@
 """Sec. 6.1: snap-turn detection of AltspaceVR's server viewport width."""
 
-from repro.core.api import viewport_width_experiment
-from repro.measure.report import render_series
+from repro.measure.record import BLOCKS
+
+VIEWPORT = BLOCKS["viewport"]
 
 
-def test_viewport_width(benchmark, paper_report):
-    detection = benchmark.pedantic(viewport_width_experiment, rounds=1, iterations=1)
-    text = "\n".join(
-        [
-            render_series(
-                "downlink per snap position (Kbps)", detection.step_throughput_kbps
-            ),
-            f"onset at snap step {detection.onset_step} "
-            f"(each step = {detection.step_deg} deg)",
-            f"estimated server viewport width: {detection.estimated_width_deg:.1f} deg "
-            "(paper: ~150 deg)",
-            f"maximum data savings: {detection.max_savings_fraction:.1%} "
-            "(paper: up to ~58%)",
-        ]
-    )
-    paper_report("Sec. 6.1 — AltspaceVR viewport-width detection", text)
+def test_viewport_width(paper_report):
+    detection = paper_report(VIEWPORT)
     assert 135.0 <= detection.estimated_width_deg <= 165.0

@@ -5,20 +5,26 @@ Usage::
     python -m repro platforms
     python -m repro quickstart --platform worlds
     python -m repro table3
-    python -m repro fig7 --platforms worlds hubs
-    python -m repro disruption --experiment tcp
+    python -m repro fig13
     python -m repro export-pcap --platform vrchat --output capture.pcap
     python -m repro campaign --experiments throughput forwarding \\
         --seeds 0:20 --workers 4 --telemetry campaign.jsonl
     python -m repro chaos --scenarios link-flap server-crash \\
         --platforms vrchat worlds --seeds 3
     python -m repro trace throughput --seed 3 --output trace.jsonl
-    python -m repro table3 --metrics-out table3-metrics.json
+    python -m repro table2 --metrics-out table2-metrics.json
     python -m repro serve --spool .repro-serve --port 8791 --workers 2
     python -m repro submit --url http://localhost:8791 \\
         --experiments throughput --seeds 2 --wait
     python -m repro status --url http://localhost:8791
     python -m repro artifacts --url http://localhost:8791 JOB --fetch out/
+
+Each block of the paper record (:mod:`repro.measure.record`: Tables
+1-4, Figs. 2-13, the Sec. 4.2, 6.1, 6.3 and 8.2 studies and two
+ablations) is a subcommand, named as ``python -m repro --help`` lists
+it, that prints the block exactly as ``benchmarks/RESULTS.txt`` holds
+it.  Other parameter values run through :mod:`repro.core.api` or
+``campaign --param``.
 
 Any subcommand accepts ``--metrics-out PATH`` to additionally write the
 run's observability dump (metric registry + packet/span traces) as
@@ -37,7 +43,8 @@ import argparse
 import sys
 import typing
 
-from .measure.report import render_series, render_table
+from .measure.record import BLOCKS, format_block
+from .measure.report import render_table
 
 
 def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
@@ -180,46 +187,10 @@ def _build_parser() -> argparse.ArgumentParser:
     quickstart.add_argument("--duration", type=float, default=20.0)
     quickstart.set_defaults(handler=_cmd_quickstart)
 
-    table1 = add_parser("table1", help="Table 1: feature comparison")
-    table1.set_defaults(handler=_cmd_table1)
-
-    table2 = add_parser("table2", help="Table 2: infrastructure probing")
-    table2.add_argument("--platforms", nargs="*", default=None)
-    table2.set_defaults(handler=_cmd_table2)
-
-    table3 = add_parser("table3", help="Table 3: two-user throughput")
-    table3.add_argument("--platforms", nargs="*", default=None)
-    table3.set_defaults(handler=_cmd_table3)
-
-    table4 = add_parser("table4", help="Table 4: latency breakdown")
-    table4.add_argument("--platforms", nargs="*", default=None)
-    table4.add_argument("--actions", type=int, default=20)
-    table4.set_defaults(handler=_cmd_table4)
-
-    fig7 = add_parser("fig7", help="Figs. 7/8: scalability sweep")
-    fig7.add_argument("--platforms", nargs="*", default=None)
-    fig7.add_argument(
-        "--users", nargs="*", type=int, default=[1, 2, 5, 10, 15]
-    )
-    fig7.set_defaults(handler=_cmd_fig7)
-
-    viewport = add_parser(
-        "viewport", help="Sec. 6.1: viewport width detection"
-    )
-    viewport.add_argument("--platform", default="altspacevr")
-    viewport.set_defaults(handler=_cmd_viewport)
-
-    disruption = add_parser("disruption", help="Sec. 8 experiments")
-    disruption.add_argument(
-        "--experiment", choices=("downlink", "uplink", "tcp"), default="downlink"
-    )
-    disruption.set_defaults(handler=_cmd_disruption)
-
-    solutions = add_parser(
-        "solutions", help="ablation of the candidate architectures"
-    )
-    solutions.add_argument("--platform", default="worlds")
-    solutions.set_defaults(handler=_cmd_solutions)
+    for block in BLOCKS.values():
+        add_parser(block.name, help=block.title.partition(" (")[0]).set_defaults(
+            handler=_cmd_block, block=block
+        )
 
     experiments = add_parser(
         "experiments", help="list every registered experiment"
@@ -554,13 +525,6 @@ def _build_parser() -> argparse.ArgumentParser:
 # ----------------------------------------------------------------------
 # Command handlers
 # ----------------------------------------------------------------------
-def _platform_list(args) -> list:
-    from .platforms.profiles import PLATFORM_NAMES
-
-    requested = getattr(args, "platforms", None)
-    return list(requested) if requested else list(PLATFORM_NAMES)
-
-
 def _cmd_platforms(args) -> int:
     from .platforms.profiles import PLATFORM_NAMES
     from .platforms.registry import platform_summary
@@ -587,10 +551,26 @@ def _cmd_platforms(args) -> int:
     return 0
 
 
+def _platform(name: str) -> str:
+    """``--platform`` if it names a modelled platform; else exit 2."""
+    from .platforms.profiles import get_profile
+
+    try:
+        get_profile(name)
+    except KeyError as exc:
+        print(exc.args[0], file=sys.stderr)
+        raise SystemExit(2) from None
+    return name
+
+
 def _cmd_quickstart(args) -> int:
     from .core.api import run_two_user_session
 
-    result = run_two_user_session(args.platform, duration_s=args.duration)
+    try:
+        result = run_two_user_session(_platform(args.platform), duration_s=args.duration)
+    except ValueError as exc:  # a non-positive --duration, before any testbed
+        print(exc.args[0], file=sys.stderr)
+        return 2
     print(
         f"{result.platform}: up {result.uplink_kbps:.1f} Kbps, "
         f"down {result.downlink_kbps:.1f} Kbps, {result.fps:.0f} FPS, "
@@ -599,178 +579,9 @@ def _cmd_quickstart(args) -> int:
     return 0
 
 
-def _cmd_table1(args) -> int:
-    from .core.api import table1_features
-    from .platforms.registry import FEATURE_COLUMNS
-
-    rows = table1_features()
-    headers = ["Platform", "Company"] + list(FEATURE_COLUMNS)
-    print(render_table(headers, [[row[h] for h in headers] for row in rows]))
-    return 0
-
-
-def _cmd_table2(args) -> int:
-    from .core.api import table2_infrastructure
-
-    reports = table2_infrastructure(platforms=_platform_list(args))
-    rows = []
-    for name, report in reports.items():
-        for item in [report.control] + report.data:
-            rows.append(
-                [
-                    name,
-                    item.channel,
-                    item.protocol,
-                    item.location,
-                    item.owner,
-                    "yes" if item.anycast else "no",
-                    f"{item.east_rtt.mean:.2f}",
-                ]
-            )
-    print(
-        render_table(
-            ["Platform", "Channel", "Protocol", "Location", "Owner", "Anycast", "RTT ms"],
-            rows,
-        )
-    )
-    return 0
-
-
-def _cmd_table3(args) -> int:
-    from .measure.throughput import table3_row
-
-    rows = []
-    for name in _platform_list(args):
-        row = table3_row(name)
-        rows.append(
-            [name, str(row.up_kbps), str(row.down_kbps), row.resolution, str(row.avatar_kbps)]
-        )
-    print(
-        render_table(
-            ["Platform", "Up (Kbps)", "Down (Kbps)", "Resolution", "Avatar (Kbps)"],
-            rows,
-        )
-    )
-    return 0
-
-
-def _cmd_table4(args) -> int:
-    from .measure.latency import measure_latency
-
-    names = _platform_list(args)
-    if "hubs" in names and "hubs-private" not in names:
-        names = names + ["hubs-private"]
-    rows = []
-    for name in names:
-        result = measure_latency(name, n_actions=args.actions)
-        rows.append(
-            [
-                name,
-                str(result.e2e),
-                str(result.sender),
-                str(result.receiver),
-                str(result.server),
-            ]
-        )
-    print(
-        render_table(["Platform", "E2E (ms)", "Sender", "Receiver", "Server"], rows)
-    )
-    return 0
-
-
-def _cmd_fig7(args) -> int:
-    from .measure.scalability import run_user_sweep
-
-    for name in _platform_list(args):
-        points = run_user_sweep(name, user_counts=tuple(args.users))
-        rows = [
-            [
-                p.n_users,
-                f"{p.down_kbps.mean / 1000:.2f}",
-                f"{p.fps.mean:.0f}",
-                f"{p.cpu_pct.mean:.0f}",
-                f"{p.memory_mb.mean:.0f}",
-            ]
-            for p in points
-        ]
-        print(
-            render_table(
-                ["Users", "Down (Mbps)", "FPS", "CPU %", "Mem (MB)"],
-                rows,
-                title=name,
-            )
-        )
-        print()
-    return 0
-
-
-def _cmd_viewport(args) -> int:
-    from .measure.scalability import detect_viewport_width
-
-    detection = detect_viewport_width(args.platform)
-    print(render_series("downlink per snap (Kbps)", detection.step_throughput_kbps))
-    print(
-        f"onset step: {detection.onset_step}; estimated width: "
-        f"{detection.estimated_width_deg} deg; savings: "
-        f"{detection.max_savings_fraction:.1%}"
-    )
-    return 0
-
-
-def _cmd_disruption(args) -> int:
-    from .measure.disruption import (
-        run_downlink_disruption,
-        run_tcp_uplink_control,
-        run_uplink_disruption,
-    )
-
-    runner = {
-        "downlink": run_downlink_disruption,
-        "uplink": run_uplink_disruption,
-        "tcp": run_tcp_uplink_control,
-    }[args.experiment]
-    run = runner("worlds")
-    rows = [
-        [
-            stage.label,
-            f"{stage.up_kbps.mean:.0f}",
-            f"{stage.down_kbps.mean:.0f}",
-            f"{stage.fps.mean:.0f}",
-            f"{stage.cpu_pct.mean:.0f}",
-        ]
-        for stage in run.stages
-    ]
-    print(render_table(["Stage", "Up (Kbps)", "Down (Kbps)", "FPS", "CPU %"], rows))
-    if args.experiment == "tcp":
-        print(
-            f"udp dead: {run.udp_dead}; frozen: {run.frozen}; "
-            f"tcp recovered: {run.tcp_recovered}"
-        )
-    return 0
-
-
-def _cmd_solutions(args) -> int:
-    from .core.solutions import compare_solutions
-
-    results = compare_solutions(platform=args.platform)
-    rows = []
-    for architecture, points in results.items():
-        for p in points:
-            rows.append(
-                [
-                    architecture,
-                    p.n_users,
-                    f"{p.viewer_down_kbps:.0f}",
-                    f"{p.viewer_up_kbps:.0f}",
-                    f"{p.server_forwarded_kbps:.0f}",
-                ]
-            )
-    print(
-        render_table(
-            ["Architecture", "Users", "Down (Kbps)", "Up (Kbps)", "Server (Kbps)"],
-            rows,
-        )
-    )
+def _cmd_block(args) -> int:
+    block = args.block
+    print(format_block(block.title, block.render(block.run())))
     return 0
 
 
@@ -1235,7 +1046,7 @@ def _cmd_public_event(args) -> int:
     from .measure.workload import run_public_event
 
     result = run_public_event(
-        args.platform, target_users=args.users, duration_s=args.duration
+        _platform(args.platform), target_users=args.users, duration_s=args.duration
     )
     rows = [
         [f"{s.time_s:.0f}", s.occupants, f"{s.down_kbps:.0f}"]
@@ -1310,7 +1121,7 @@ def _cmd_export_pcap(args) -> int:
     from .capture.pcap import export_sniffer
     from .measure.session import Testbed, download_drain_s
 
-    testbed = Testbed(args.platform, n_users=2)
+    testbed = Testbed(_platform(args.platform), n_users=2)
     testbed.start_all(join_at=2.0)
     end = 2.0 + 5.0 + download_drain_s(testbed.profile) + args.duration
     testbed.run(until=end)

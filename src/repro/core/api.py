@@ -90,6 +90,8 @@ def run_two_user_session(
     from ..capture.sniffer import DOWNLINK, UPLINK
     from ..capture.timeseries import average_kbps
 
+    if not duration_s > 0:
+        raise ValueError(f"duration_s must be positive, got {duration_s}")
     testbed = Testbed(platform, n_users=2, seed=seed)
     join_at = 2.0
     testbed.start_all(join_at=join_at)

@@ -61,6 +61,10 @@ def measure_latency(
     becomes infeasible with many users (packet intervals shrink); here
     the trace is still sparse enough per sender to keep reporting it.
     """
+    if n_users < 2:
+        raise ValueError(f"n_users must be >= 2 (a sender and a receiver), got {n_users}")
+    if n_actions < 1:
+        raise ValueError(f"n_actions must be >= 1, got {n_actions}")
     testbed = Testbed(platform, n_users=2, seed=seed)
     join_at = 2.0
     testbed.start_all(join_at=join_at)

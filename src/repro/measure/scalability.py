@@ -130,6 +130,8 @@ def run_user_sweep(
     from ..obs.context import active_collector
     from ..runner import TaskSpec, run_campaign
 
+    if any(count < 1 for count in user_counts):
+        raise ValueError(f"user_counts must all be >= 1, got {tuple(user_counts)}")
     if not isinstance(platform, str):
         # Profile objects are not worth shipping to workers; keep the
         # rare ad-hoc-profile path serial and allocation-free.

@@ -8,6 +8,9 @@ parameters so regressions in the wiring surface quickly.
 import pytest
 
 from repro.core import api
+from repro.measure.latency import measure_latency
+from repro.measure.scalability import run_user_sweep
+from repro.measure.session import Testbed
 
 
 def test_all_platforms_constant():
@@ -108,3 +111,22 @@ def test_qoe_wrapper_small():
 
 def test_table1_wrapper():
     assert len(api.table1_features()) == 5
+
+
+@pytest.mark.parametrize(
+    "call, names",
+    [
+        (lambda: measure_latency("vrchat", n_users=1), "n_users"),
+        (lambda: measure_latency("vrchat", n_actions=0), "n_actions"),
+        (lambda: run_user_sweep("vrchat", user_counts=(0,)), "user_counts"),
+        (lambda: api.run_two_user_session("vrchat", duration_s=0), "duration_s"),
+    ],
+    ids=["latency-one-user", "latency-no-actions", "sweep-zero-users", "session-zero-s"],
+)
+def test_out_of_range_sizes_are_rejected_before_any_testbed(call, names, monkeypatch):
+    def no_testbed(*args, **kwargs):
+        raise AssertionError("a testbed was built for out-of-range sizes")
+
+    monkeypatch.setattr(Testbed, "__init__", no_testbed)
+    with pytest.raises(ValueError, match=names):
+        call()

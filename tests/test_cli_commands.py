@@ -3,31 +3,39 @@
 import pytest
 
 from repro.cli import main
+from repro.measure.experiment import run_experiment
+from repro.measure.record import BLOCKS
 
 
-def test_cli_table2_single_platform(capsys):
-    assert main(["table2", "--platforms", "vrchat"]) == 0
-    out = capsys.readouterr().out
-    assert "Cloudflare" in out
-    assert "HTTPS" in out and "UDP" in out
+def _render(name: str, **kwargs) -> str:
+    """Record block ``name``'s text for a smaller run of its experiment.
+
+    The paper command ``name`` prints its block through this renderer
+    (``tests/test_record.py`` pins that output to the record).
+    """
+    block = BLOCKS[name]
+    return block.render(run_experiment(block.experiment, **{**block.kwargs, **kwargs}))
 
 
-def test_cli_table3_single_platform(capsys):
-    assert main(["table3", "--platforms", "vrchat"]) == 0
-    out = capsys.readouterr().out
-    assert "1440x1584" in out
+def test_cli_table2_single_platform():
+    text = _render("table2", platforms=["vrchat"])
+    assert "Cloudflare" in text
+    assert "HTTPS" in text and "UDP" in text
 
 
-def test_cli_table4_single_platform(capsys):
-    assert main(["table4", "--platforms", "recroom", "--actions", "8"]) == 0
-    out = capsys.readouterr().out
-    assert "recroom" in out and "E2E" in out
+def test_cli_table3_single_platform():
+    text = _render("table3", platforms=["vrchat"])
+    assert "1440x1584" in text
 
 
-def test_cli_fig7_small(capsys):
-    assert main(["fig7", "--platforms", "vrchat", "--users", "1", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "Down (Mbps)" in out
+def test_cli_table4_single_platform():
+    text = _render("table4", platforms=["recroom"], n_actions=8)
+    assert "recroom" in text and "E2E" in text
+
+
+def test_cli_fig7_small():
+    text = _render("fig7", platforms=["vrchat"], user_counts=[1, 3])
+    assert "Downlink (Mbps)" in text
 
 
 def test_cli_public_event(capsys):
@@ -49,16 +57,44 @@ def test_cli_public_event(capsys):
     assert "Kbps/user" in out
 
 
-def test_cli_disruption_tcp(capsys):
-    assert main(["disruption", "--experiment", "tcp"]) == 0
-    out = capsys.readouterr().out
-    assert "udp dead: True" in out
+def _status(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
-def test_cli_solutions(capsys):
-    assert main(["solutions", "--platform", "vrchat"]) == 0
-    out = capsys.readouterr().out
-    assert "p2p" in out and "forwarding" in out
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["quickstart", "--platform", "nosuch"], "'nosuch'"),
+        (["public-event", "--platform", "nosuch"], "'nosuch'"),
+        (["export-pcap", "--platform", "nosuch", "--output", "x.pcap"], "'nosuch'"),
+        (["quickstart", "--duration", "0"], "duration_s"),
+    ],
+    ids=["quickstart", "public-event", "export-pcap", "quickstart-duration"],
+)
+def test_bad_session_arguments_exit_2_with_one_line(argv, names, tmp_path, monkeypatch, capsys):
+    from repro.measure import session
+
+    def no_testbed(*args, **kwargs):
+        raise AssertionError("a testbed was built for bad arguments")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(session.Testbed, "__init__", no_testbed)
+    assert _status(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and names in err, err
+    assert not (tmp_path / "x.pcap").exists()
+
+
+def test_cli_disruption_tcp():
+    assert "UDP session dead: True" in _render("fig13")
+
+
+def test_cli_solutions():
+    text = _render("solutions", platform="vrchat")
+    assert "p2p" in text and "forwarding" in text
 
 
 # ----------------------------------------------------------------------

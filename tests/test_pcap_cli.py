@@ -5,6 +5,7 @@ import pytest
 from repro.capture.pcap import PCAP_MAGIC, read_pcap, write_pcap
 from repro.capture.sniffer import DOWNLINK, PacketRecord, UPLINK
 from repro.cli import main
+from repro.measure.record import BLOCKS
 from repro.net.address import Endpoint, IPAddress
 from repro.net.packet import Protocol
 
@@ -67,11 +68,11 @@ def test_cli_platforms(capsys):
     assert "worlds" in out and "Meta" in out
 
 
-def test_cli_table1(capsys):
-    assert main(["table1"]) == 0
-    out = capsys.readouterr().out
-    assert "Horizon Worlds" in out
-    assert "NFT" in out
+def test_cli_table1():
+    table1 = BLOCKS["table1"]
+    text = table1.render(table1.run())
+    assert "Horizon Worlds" in text
+    assert "NFT" in text
 
 
 def test_cli_quickstart(capsys):
@@ -80,10 +81,10 @@ def test_cli_quickstart(capsys):
     assert "vrchat" in out and "Kbps" in out
 
 
-def test_cli_viewport(capsys):
-    assert main(["viewport"]) == 0
-    out = capsys.readouterr().out
-    assert "estimated width" in out
+def test_cli_viewport():
+    viewport = BLOCKS["viewport"]
+    text = viewport.render(viewport.run())
+    assert "estimated server viewport width" in text
 
 
 def test_cli_no_command_shows_help(capsys):
