@@ -1,67 +1,39 @@
 """Avatar system: pose, motion, viewport, embodiment, codec."""
 
-from .codec import AvatarCodec, AvatarUpdate, decode
-from .embodiment import EmbodimentProfile
-from .expression import (
-    EXPRESSIONS,
-    GESTURE_EXPRESSIONS,
-    ExpressionState,
-    GestureEvent,
-)
-from .motion import (
-    FaceDirection,
-    FacePoint,
-    FingerTouch,
-    Mingle,
-    Motion,
-    MotionSequence,
-    SnapTurnSequence,
-    Spin,
-    Stand,
-    TimedTurn,
-    Wander,
-)
-from .pose import Pose, Vec3, normalize_angle
-from .prediction import YawRatePredictor
-from .viewport import (
-    ALTSPACE_SERVER_VIEWPORT,
-    ALTSPACE_SERVER_VIEWPORT_DEG,
-    HEADSET_FOV_DEG,
-    HEADSET_VIEWPORT,
-    TURN_STEP_DEG,
-    Viewport,
-    visible_count,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AvatarCodec",
-    "AvatarUpdate",
-    "decode",
-    "EmbodimentProfile",
-    "EXPRESSIONS",
-    "GESTURE_EXPRESSIONS",
-    "ExpressionState",
-    "GestureEvent",
-    "FaceDirection",
-    "FacePoint",
-    "FingerTouch",
-    "Mingle",
-    "Motion",
-    "MotionSequence",
-    "SnapTurnSequence",
-    "Spin",
-    "Stand",
-    "TimedTurn",
-    "Wander",
-    "Pose",
-    "Vec3",
-    "normalize_angle",
-    "YawRatePredictor",
-    "ALTSPACE_SERVER_VIEWPORT",
-    "ALTSPACE_SERVER_VIEWPORT_DEG",
-    "HEADSET_FOV_DEG",
-    "HEADSET_VIEWPORT",
-    "TURN_STEP_DEG",
-    "Viewport",
-    "visible_count",
-]
+_EXPORTS = {
+    "AvatarCodec": ".codec",
+    "AvatarUpdate": ".codec",
+    "decode": ".codec",
+    "EmbodimentProfile": ".embodiment",
+    "EXPRESSIONS": ".expression",
+    "GESTURE_EXPRESSIONS": ".expression",
+    "ExpressionState": ".expression",
+    "GestureEvent": ".expression",
+    "FaceDirection": ".motion",
+    "FacePoint": ".motion",
+    "FingerTouch": ".motion",
+    "Mingle": ".motion",
+    "Motion": ".motion",
+    "MotionSequence": ".motion",
+    "SnapTurnSequence": ".motion",
+    "Spin": ".motion",
+    "Stand": ".motion",
+    "TimedTurn": ".motion",
+    "Wander": ".motion",
+    "Pose": ".pose",
+    "Vec3": ".pose",
+    "normalize_angle": ".pose",
+    "YawRatePredictor": ".prediction",
+    "ALTSPACE_SERVER_VIEWPORT": ".viewport",
+    "ALTSPACE_SERVER_VIEWPORT_DEG": ".viewport",
+    "HEADSET_FOV_DEG": ".viewport",
+    "HEADSET_VIEWPORT": ".viewport",
+    "TURN_STEP_DEG": ".viewport",
+    "Viewport": ".viewport",
+    "visible_count": ".viewport",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -1,49 +1,33 @@
 """Traffic capture and analysis at the AP vantage point."""
 
-from .classify import (
-    CONTROL,
-    DATA,
-    ClassifiedFlow,
-    channel_flows,
-    channel_records,
-    classify_by_activity,
-    classify_by_protocol,
-    protocol_label,
-)
-from .flows import Flow, FlowTable, StreamingFlowTable
-from .pcap import PcapPacket, export_sniffer, read_pcap, write_pcap
-from .sniffer import DOWNLINK, PacketRecord, Sniffer, UPLINK
-from .timeseries import (
-    BinAccumulator,
-    ThroughputSeries,
-    average_kbps,
-    correlation,
-    throughput_series,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CONTROL",
-    "DATA",
-    "ClassifiedFlow",
-    "channel_flows",
-    "channel_records",
-    "classify_by_activity",
-    "classify_by_protocol",
-    "protocol_label",
-    "Flow",
-    "FlowTable",
-    "StreamingFlowTable",
-    "BinAccumulator",
-    "PcapPacket",
-    "export_sniffer",
-    "read_pcap",
-    "write_pcap",
-    "DOWNLINK",
-    "PacketRecord",
-    "Sniffer",
-    "UPLINK",
-    "ThroughputSeries",
-    "average_kbps",
-    "correlation",
-    "throughput_series",
-]
+_EXPORTS = {
+    "CONTROL": ".classify",
+    "DATA": ".classify",
+    "ClassifiedFlow": ".classify",
+    "channel_flows": ".classify",
+    "channel_records": ".classify",
+    "classify_by_activity": ".classify",
+    "classify_by_protocol": ".classify",
+    "protocol_label": ".classify",
+    "Flow": ".flows",
+    "FlowTable": ".flows",
+    "StreamingFlowTable": ".flows",
+    "PcapPacket": ".pcap",
+    "export_sniffer": ".pcap",
+    "read_pcap": ".pcap",
+    "write_pcap": ".pcap",
+    "DOWNLINK": ".sniffer",
+    "PacketRecord": ".sniffer",
+    "Sniffer": ".sniffer",
+    "UPLINK": ".sniffer",
+    "BinAccumulator": ".timeseries",
+    "ThroughputSeries": ".timeseries",
+    "average_kbps": ".timeseries",
+    "correlation": ".timeseries",
+    "throughput_series": ".timeseries",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -367,18 +367,13 @@ class FaultInjector:
 # Topology helpers (shared with the verdict layer)
 # ----------------------------------------------------------------------
 def links_of_node(network, node_name: str) -> list:
-    """Every directed link touching ``node_name``, deterministic order."""
-    graph = network.graph
-    links = []
-    for _, _, data in sorted(
-        graph.in_edges(node_name, data=True), key=lambda e: (e[0], e[1])
-    ):
-        links.append(data["link"])
-    for _, _, data in sorted(
-        graph.out_edges(node_name, data=True), key=lambda e: (e[0], e[1])
-    ):
-        links.append(data["link"])
-    return links
+    """Every directed link touching ``node_name``: inbound links, then
+    outbound ones, each sorted by neighbour name."""
+    inbound = [link for link in network.links() if link.dst.name == node_name]
+    outbound = network.nodes[node_name].egress.values()
+    return sorted(inbound, key=lambda link: link.src.name) + sorted(
+        outbound, key=lambda link: link.dst.name
+    )
 
 
 def site_of_host(placement, host) -> str:
@@ -395,8 +390,7 @@ def site_of_host(placement, host) -> str:
 def network_drop_total(testbed) -> int:
     """Total packets dropped anywhere: links, qdiscs, access netem."""
     total = 0
-    for _, _, data in testbed.network.graph.edges(data=True):
-        link = data["link"]
+    for link in testbed.network.links():
         total += link.dropped_packets
         if link.qdisc is not None:
             total += link.qdisc.dropped_packets

@@ -1,65 +1,38 @@
 """Core library: the paper's measurement methodology and analyses."""
 
-from .anycast import AnycastInference, VantageProbe, infer_anycast
-from .breakdown import (
-    BreakdownSample,
-    breakdown_consistent,
-    compute_breakdown,
-    dominant_component,
-)
-from .channels import ChannelEvidence, ChannelSeparationReport, analyze_channels
-from .findings import (
-    Finding,
-    check_finding_1_channels,
-    check_finding_2_throughput,
-    check_finding_3_scalability,
-    check_finding_4_latency,
-    check_finding_5_tcp_priority,
-)
-from .remote_rendering import (
-    AblationPoint,
-    ArchitectureComparison,
-    compare_architectures,
-    forwarding_crossover,
-    run_remote_rendering_ablation,
-)
-from .separation import AvatarSeparation, expected_avatar_kbps, separate
-from .solutions import (
-    SolutionPoint,
-    compare_solutions,
-    forwarding_reference,
-    run_interest_ablation,
-    run_p2p_ablation,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AnycastInference",
-    "VantageProbe",
-    "infer_anycast",
-    "BreakdownSample",
-    "breakdown_consistent",
-    "compute_breakdown",
-    "dominant_component",
-    "ChannelEvidence",
-    "ChannelSeparationReport",
-    "analyze_channels",
-    "Finding",
-    "check_finding_1_channels",
-    "check_finding_2_throughput",
-    "check_finding_3_scalability",
-    "check_finding_4_latency",
-    "check_finding_5_tcp_priority",
-    "AblationPoint",
-    "ArchitectureComparison",
-    "compare_architectures",
-    "forwarding_crossover",
-    "run_remote_rendering_ablation",
-    "AvatarSeparation",
-    "expected_avatar_kbps",
-    "separate",
-    "SolutionPoint",
-    "compare_solutions",
-    "forwarding_reference",
-    "run_interest_ablation",
-    "run_p2p_ablation",
-]
+_EXPORTS = {
+    "AnycastInference": ".anycast",
+    "VantageProbe": ".anycast",
+    "infer_anycast": ".anycast",
+    "BreakdownSample": ".breakdown",
+    "breakdown_consistent": ".breakdown",
+    "compute_breakdown": ".breakdown",
+    "dominant_component": ".breakdown",
+    "ChannelEvidence": ".channels",
+    "ChannelSeparationReport": ".channels",
+    "analyze_channels": ".channels",
+    "Finding": ".findings",
+    "check_finding_1_channels": ".findings",
+    "check_finding_2_throughput": ".findings",
+    "check_finding_3_scalability": ".findings",
+    "check_finding_4_latency": ".findings",
+    "check_finding_5_tcp_priority": ".findings",
+    "AblationPoint": ".remote_rendering",
+    "ArchitectureComparison": ".remote_rendering",
+    "compare_architectures": ".remote_rendering",
+    "forwarding_crossover": ".remote_rendering",
+    "run_remote_rendering_ablation": ".remote_rendering",
+    "AvatarSeparation": ".separation",
+    "expected_avatar_kbps": ".separation",
+    "separate": ".separation",
+    "SolutionPoint": ".solutions",
+    "compare_solutions": ".solutions",
+    "forwarding_reference": ".solutions",
+    "run_interest_ablation": ".solutions",
+    "run_p2p_ablation": ".solutions",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -1,30 +1,22 @@
 """Client device models: headsets, rendering, resources, metrics."""
 
-from .headset import (
-    DEVICES,
-    PC_CLIENT,
-    QUEST_2,
-    VIVE_COSMOS,
-    HeadsetProfile,
-    Resolution,
-    device,
-)
-from .metrics import MetricsSample, OvrMetricsSampler
-from .rendering import RenderCostProfile, RenderModel
-from .resources import ResourceModel, ResourceProfile
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEVICES",
-    "PC_CLIENT",
-    "QUEST_2",
-    "VIVE_COSMOS",
-    "HeadsetProfile",
-    "Resolution",
-    "device",
-    "MetricsSample",
-    "OvrMetricsSampler",
-    "RenderCostProfile",
-    "RenderModel",
-    "ResourceModel",
-    "ResourceProfile",
-]
+_EXPORTS = {
+    "DEVICES": ".headset",
+    "PC_CLIENT": ".headset",
+    "QUEST_2": ".headset",
+    "VIVE_COSMOS": ".headset",
+    "HeadsetProfile": ".headset",
+    "Resolution": ".headset",
+    "device": ".headset",
+    "MetricsSample": ".metrics",
+    "OvrMetricsSampler": ".metrics",
+    "RenderCostProfile": ".rendering",
+    "RenderModel": ".rendering",
+    "ResourceModel": ".resources",
+    "ResourceProfile": ".resources",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

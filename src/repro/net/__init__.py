@@ -5,88 +5,57 @@ touches: hosts and links, UDP/TCP/TLS/HTTPS/RTP protocols, a netem
 qdisc, and the ping/traceroute probing tools.
 """
 
-from .address import AddressRegistry, AnycastGroup, Endpoint, IPAddress, Provider
-from .dns import Resolver
-from .geo import (
-    ALL_SITES,
-    EAST_US,
-    EUROPE_UK,
-    LOS_ANGELES,
-    MIDDLE_EAST,
-    NORTH_US,
-    WEST_US,
-    Location,
-    haversine_km,
-    nearest_site,
-)
-from .http import HttpsClient, HttpsConnection, HttpsServer
-from .link import Link
-from .netem import NetemQdisc
-from .node import AccessPoint, Host, Node, Router
-from .packet import (
-    MTU_PAYLOAD,
-    Packet,
-    Protocol,
-    TCP_MSS,
-    icmp_packet_size,
-    tcp_packet_size,
-    udp_packet_size,
-)
-from .ping import PingResult, ProbeTool
-from .rtp import RtcpPeer, RtpStream
-from .tcp import TcpConnection, TcpListener
-from .tls import TlsSession, record_overhead
-from .topology import ACCESS_BANDWIDTH, BACKBONE_BANDWIDTH, Network
-from .traceroute import TracerouteResult, TracerouteTool
-from .udp import UdpSocket
-from .webrtc import WebRtcSession
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AddressRegistry",
-    "AnycastGroup",
-    "Endpoint",
-    "IPAddress",
-    "Provider",
-    "Resolver",
-    "ALL_SITES",
-    "EAST_US",
-    "EUROPE_UK",
-    "LOS_ANGELES",
-    "MIDDLE_EAST",
-    "NORTH_US",
-    "WEST_US",
-    "Location",
-    "haversine_km",
-    "nearest_site",
-    "HttpsClient",
-    "HttpsConnection",
-    "HttpsServer",
-    "Link",
-    "NetemQdisc",
-    "AccessPoint",
-    "Host",
-    "Node",
-    "Router",
-    "MTU_PAYLOAD",
-    "Packet",
-    "Protocol",
-    "TCP_MSS",
-    "icmp_packet_size",
-    "tcp_packet_size",
-    "udp_packet_size",
-    "PingResult",
-    "ProbeTool",
-    "RtcpPeer",
-    "RtpStream",
-    "TcpConnection",
-    "TcpListener",
-    "TlsSession",
-    "record_overhead",
-    "ACCESS_BANDWIDTH",
-    "BACKBONE_BANDWIDTH",
-    "Network",
-    "TracerouteResult",
-    "TracerouteTool",
-    "UdpSocket",
-    "WebRtcSession",
-]
+_EXPORTS = {
+    "AddressRegistry": ".address",
+    "AnycastGroup": ".address",
+    "Endpoint": ".address",
+    "IPAddress": ".address",
+    "Provider": ".address",
+    "Resolver": ".dns",
+    "ALL_SITES": ".geo",
+    "EAST_US": ".geo",
+    "EUROPE_UK": ".geo",
+    "LOS_ANGELES": ".geo",
+    "MIDDLE_EAST": ".geo",
+    "NORTH_US": ".geo",
+    "WEST_US": ".geo",
+    "Location": ".geo",
+    "haversine_km": ".geo",
+    "nearest_site": ".geo",
+    "HttpsClient": ".http",
+    "HttpsConnection": ".http",
+    "HttpsServer": ".http",
+    "Link": ".link",
+    "NetemQdisc": ".netem",
+    "AccessPoint": ".node",
+    "Host": ".node",
+    "Node": ".node",
+    "Router": ".node",
+    "MTU_PAYLOAD": ".packet",
+    "Packet": ".packet",
+    "Protocol": ".packet",
+    "TCP_MSS": ".packet",
+    "icmp_packet_size": ".packet",
+    "tcp_packet_size": ".packet",
+    "udp_packet_size": ".packet",
+    "PingResult": ".ping",
+    "ProbeTool": ".ping",
+    "RtcpPeer": ".rtp",
+    "RtpStream": ".rtp",
+    "TcpConnection": ".tcp",
+    "TcpListener": ".tcp",
+    "TlsSession": ".tls",
+    "record_overhead": ".tls",
+    "ACCESS_BANDWIDTH": ".topology",
+    "BACKBONE_BANDWIDTH": ".topology",
+    "Network": ".topology",
+    "TracerouteResult": ".traceroute",
+    "TracerouteTool": ".traceroute",
+    "UdpSocket": ".udp",
+    "WebRtcSession": ".webrtc",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

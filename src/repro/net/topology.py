@@ -1,18 +1,19 @@
 """Topology builder: nodes, links, routing tables, anycast routing.
 
-The :class:`Network` wraps a :mod:`networkx` graph whose edge weights are
-link propagation delays. After all nodes and links are added,
-:meth:`Network.build_routes` computes per-destination next-hop tables for
-every unicast host address and, for each :class:`AnycastGroup`, routes
-every source toward the *nearest* member — which is exactly the property
-the paper's anycast-detection heuristic keys on.
+A :class:`Network` is its nodes and their egress links, weighted by
+propagation delay. After all nodes and links are added,
+:meth:`Network.build_routes` runs a Dijkstra from every node and fills
+per-destination next-hop tables for every unicast host address and, for
+each :class:`AnycastGroup`, routes every source toward the *nearest*
+member — which is exactly the property the paper's anycast-detection
+heuristic keys on.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import typing
-
-import networkx as nx
 
 from ..obs.context import obs_of
 from .address import AddressRegistry, AnycastGroup, IPAddress
@@ -32,7 +33,6 @@ class Network:
     def __init__(self, sim, registry: typing.Optional[AddressRegistry] = None) -> None:
         self.sim = sim
         self.registry = registry or AddressRegistry()
-        self.graph = nx.DiGraph()
         self.nodes: dict[str, Node] = {}
         self.anycast_groups: dict[int, AnycastGroup] = {}
         self._routes_built = False
@@ -40,7 +40,7 @@ class Network:
         if self._obs.enabled:
             registry = self._obs.registry
             registry.gauge("net.nodes", fn=lambda: len(self.nodes))
-            registry.gauge("net.links", fn=lambda: self.graph.number_of_edges())
+            registry.gauge("net.links", fn=lambda: sum(1 for _ in self.links()))
             registry.gauge(
                 "net.inflight_packets", fn=self._inflight_packets
             )
@@ -89,7 +89,6 @@ class Network:
         if node.name in self.nodes:
             raise ValueError(f"duplicate node name {node.name!r}")
         self.nodes[node.name] = node
-        self.graph.add_node(node.name)
         self._routes_built = False
 
     def connect(
@@ -112,8 +111,6 @@ class Network:
         )
         a.add_egress(forward)
         b.add_egress(backward)
-        self.graph.add_edge(a.name, b.name, weight=delay_s, link=forward)
-        self.graph.add_edge(b.name, a.name, weight=delay_s, link=backward)
         self._routes_built = False
         return forward, backward
 
@@ -142,60 +139,43 @@ class Network:
         self._build_routes()
 
     def _build_routes(self) -> None:
-        paths = dict(nx.all_pairs_dijkstra(self.graph, weight="weight"))
         # Unicast: route every node toward every host address. Access
         # points are probe sources, so their addresses are routable too.
         hosts = [
             n for n in self.nodes.values() if isinstance(n, (Host, AccessPoint))
         ]
         for node in self.nodes.values():
-            node.routes.clear()
-            distances, routes = paths[node.name]
+            distances, first_hops = shortest_paths(node)
+            routes = node.routes
+            routes.clear()
             for host in hosts:
-                if host.name == node.name:
-                    continue
-                path = routes.get(host.name)
-                if path is None or len(path) < 2:
-                    continue
-                link = node.egress[path[1]]
-                node.routes[host.ip.value] = link
-        # Anycast: each node routes the group address toward its nearest
-        # member (ties broken by node name for determinism).
-        for group in self.anycast_groups.values():
-            if not group.members:
-                continue
-            for node in self.nodes.values():
-                distances, routes = paths[node.name]
-                reachable = [
-                    member
-                    for member in group.members
-                    if member.name == node.name or member.name in distances
-                ]
+                link = first_hops.get(host.name)  # None: unreachable or self
+                if link is not None:
+                    routes[host.ip.value] = link
+            # Anycast: route the group address toward the nearest member
+            # (ties broken by node name for determinism).
+            for group in self.anycast_groups.values():
+                reachable = [m for m in group.members if m.name in distances]
                 if not reachable:
                     continue
-                nearest = min(
-                    reachable,
-                    key=lambda m: (distances.get(m.name, 0.0), m.name),
-                )
-                if nearest.name == node.name:
-                    continue
-                path = routes[nearest.name]
-                node.routes[group.ip.value] = node.egress[path[1]]
+                nearest = min(reachable, key=lambda m: (distances[m.name], m.name))
+                if nearest.name != node.name:
+                    routes[group.ip.value] = first_hops[nearest.name]
         self._routes_built = True
 
     def ensure_routes(self) -> None:
         if not self._routes_built:
             self.build_routes()
 
+    def links(self) -> typing.Iterator[Link]:
+        """Every directed link, by source node in the order nodes were added."""
+        for node in self.nodes.values():
+            yield from node.egress.values()
+
     def _inflight_packets(self) -> int:
         """Packets queued or in transit across every link (sampled by
         the snapshotter as a network-pressure gauge)."""
-        total = 0
-        for _, _, data in self.graph.edges(data=True):
-            link = data.get("link")
-            if link is not None:
-                total += link.in_flight
-        return total
+        return sum(link.in_flight for link in self.links())
 
     # ------------------------------------------------------------------
     # Lookup helpers
@@ -209,9 +189,7 @@ class Network:
     def anycast_member_for(self, source: Node, group: AnycastGroup) -> Host:
         """The member that routing delivers ``source``'s traffic to."""
         self.ensure_routes()
-        lengths = nx.single_source_dijkstra_path_length(
-            self.graph, source.name, weight="weight"
-        )
+        lengths, _ = shortest_paths(source)
         return min(
             group.members,
             key=lambda m: (lengths.get(m.name, float("inf")), m.name),
@@ -219,3 +197,37 @@ class Network:
 
     def whois(self, ip: IPAddress) -> typing.Optional[str]:
         return self.registry.whois(ip)
+
+
+def shortest_paths(
+    source: Node,
+) -> typing.Tuple[typing.Dict[str, float], typing.Dict[str, Link]]:
+    """Dijkstra over egress links, weighted by propagation delay.
+
+    Returns the delay from ``source`` to every node it reaches, and the
+    first link of the path to every node but ``source``.  Ties go the
+    way networkx's ``dijkstra`` breaks them: a tentative path gives way
+    only to a strictly shorter one, and equal-delay nodes settle in the
+    order they were first pushed.
+    """
+    distances: typing.Dict[str, float] = {}
+    first_hops: typing.Dict[str, Link] = {}
+    tentative = {source.name: 0}
+    pushes = itertools.count(1)
+    heap = [(0, 0, source.name, source)]
+    while heap:
+        distance, _, name, node = heapq.heappop(heap)
+        if name in distances:
+            continue
+        distances[name] = distance
+        hop = first_hops.get(name)
+        for neighbour, link in node.egress.items():
+            if neighbour in distances:
+                continue
+            candidate = distance + link.delay_s
+            best = tentative.get(neighbour)
+            if best is None or candidate < best:
+                tentative[neighbour] = candidate
+                first_hops[neighbour] = link if hop is None else hop
+                heapq.heappush(heap, (candidate, next(pushes), neighbour, link.dst))
+    return distances, first_hops

@@ -31,86 +31,49 @@ Quickstart::
     print(dump["metrics"]["counters"][:3])
 """
 
-from .context import (
-    NULL_OBS,
-    MetricsOnlyObservability,
-    ObsCollector,
-    Observability,
-    active_collector,
-    collect,
-    obs_of,
-    observability_for_new_simulator,
-)
-from .export import (
-    escape_label_value,
-    read_jsonl,
-    read_telemetry_jsonl,
-    render,
-    sanitize_metric_name,
-    to_prometheus,
-    write_json,
-    write_jsonl,
-)
-from .fleet import (
-    FleetAggregator,
-    aggregate_metrics_dir,
-    is_deterministic_metric,
-    load_campaign_registry,
-    registry_fleet_dump,
-    write_campaign_registry,
-)
-from .live import LiveObsServer, active_live_server, live_server
-from .report import build_campaign_report, write_campaign_report
-from .metrics import (
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
-    format_labels,
-)
-from .snapshot import PeriodicSnapshotter
-from .trace import NULL_TRACER, NullTracer, Span, Tracer
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "FleetAggregator",
-    "Gauge",
-    "Histogram",
-    "LiveObsServer",
-    "MetricsOnlyObservability",
-    "MetricsRegistry",
-    "NullRegistry",
-    "NullTracer",
-    "NULL_OBS",
-    "NULL_REGISTRY",
-    "NULL_TRACER",
-    "ObsCollector",
-    "Observability",
-    "PeriodicSnapshotter",
-    "Span",
-    "Tracer",
-    "active_collector",
-    "active_live_server",
-    "aggregate_metrics_dir",
-    "build_campaign_report",
-    "collect",
-    "escape_label_value",
-    "format_labels",
-    "is_deterministic_metric",
-    "live_server",
-    "load_campaign_registry",
-    "obs_of",
-    "observability_for_new_simulator",
-    "read_jsonl",
-    "read_telemetry_jsonl",
-    "registry_fleet_dump",
-    "render",
-    "sanitize_metric_name",
-    "to_prometheus",
-    "write_campaign_registry",
-    "write_campaign_report",
-    "write_json",
-    "write_jsonl",
-]
+_EXPORTS = {
+    "NULL_OBS": ".context",
+    "MetricsOnlyObservability": ".context",
+    "ObsCollector": ".context",
+    "Observability": ".context",
+    "active_collector": ".context",
+    "collect": ".context",
+    "obs_of": ".context",
+    "observability_for_new_simulator": ".context",
+    "escape_label_value": ".export",
+    "read_jsonl": ".export",
+    "read_telemetry_jsonl": ".export",
+    "render": ".export",
+    "sanitize_metric_name": ".export",
+    "to_prometheus": ".export",
+    "write_json": ".export",
+    "write_jsonl": ".export",
+    "FleetAggregator": ".fleet",
+    "aggregate_metrics_dir": ".fleet",
+    "is_deterministic_metric": ".fleet",
+    "load_campaign_registry": ".fleet",
+    "registry_fleet_dump": ".fleet",
+    "write_campaign_registry": ".fleet",
+    "active_live_server": ".context",
+    "LiveObsServer": ".live",
+    "live_server": ".live",
+    "build_campaign_report": ".report",
+    "write_campaign_report": ".report",
+    "NULL_REGISTRY": ".metrics",
+    "Counter": ".metrics",
+    "Gauge": ".metrics",
+    "Histogram": ".metrics",
+    "MetricsRegistry": ".metrics",
+    "NullRegistry": ".metrics",
+    "format_labels": ".metrics",
+    "PeriodicSnapshotter": ".snapshot",
+    "NULL_TRACER": ".trace",
+    "NullTracer": ".trace",
+    "Span": ".trace",
+    "Tracer": ".trace",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -27,6 +27,10 @@ from .metrics import NULL_REGISTRY, MetricsRegistry
 from .trace import NULL_TRACER, Tracer
 
 _ACTIVE_COLLECTOR: typing.Optional["ObsCollector"] = None
+#: The :class:`~repro.obs.live.LiveObsServer` that campaigns feed, set by
+#: :func:`repro.obs.live.live_server`.  It lives here so that checking
+#: for it imports no HTTP server.
+_ACTIVE_LIVE_SERVER = None
 
 
 class Observability:
@@ -163,3 +167,8 @@ def collect(max_trace_events: typing.Optional[int] = None):
         yield collector
     finally:
         _ACTIVE_COLLECTOR = previous
+
+
+def active_live_server():
+    """The live server the current campaign should feed, if any."""
+    return _ACTIVE_LIVE_SERVER

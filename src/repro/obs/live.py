@@ -35,10 +35,10 @@ import typing
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
+from . import context
+from .context import active_live_server  # noqa: F401  (re-exported)
 from .export import to_prometheus
 from .fleet import FleetAggregator
-
-_ACTIVE_SERVER: typing.Optional["LiveObsServer"] = None
 
 #: Telemetry events that mark a task as no longer running.
 _TERMINAL_TASK_EVENTS = ("task_end", "task_fail", "task_retry")
@@ -58,11 +58,6 @@ class LivePortBusyError(OSError):
     """
 
 
-def active_live_server() -> typing.Optional["LiveObsServer"]:
-    """The live server the current campaign should feed, if any."""
-    return _ACTIVE_SERVER
-
-
 @contextlib.contextmanager
 def live_server(port: int = 0, host: str = "127.0.0.1"):
     """Run a :class:`LiveObsServer` for the duration of the block.
@@ -71,14 +66,13 @@ def live_server(port: int = 0, host: str = "127.0.0.1"):
     (including nested ones, e.g. the shard campaign under ``scale``)
     feeds it automatically.
     """
-    global _ACTIVE_SERVER
     server = LiveObsServer(port=port, host=host)
-    previous = _ACTIVE_SERVER
-    _ACTIVE_SERVER = server
+    previous = context._ACTIVE_LIVE_SERVER
+    context._ACTIVE_LIVE_SERVER = server
     try:
         yield server
     finally:
-        _ACTIVE_SERVER = previous
+        context._ACTIVE_LIVE_SERVER = previous
         server.close()
 
 

@@ -1,36 +1,27 @@
 """The five social VR platform models and their shared machinery."""
 
-from .base import LightweightPeer, PlatformClient, PlatformDeployment
-from .profiles import PLATFORM_NAMES, PROFILES, all_profiles, get_profile
-from .registry import feature_row, feature_table, platform_summary
-from .spec import (
-    ControlChannelSpec,
-    DataChannelSpec,
-    FeatureSet,
-    GaussianMs,
-    HTTPS_TRANSPORT,
-    LatencyProfile,
-    PlatformProfile,
-    UDP_TRANSPORT,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "LightweightPeer",
-    "PlatformClient",
-    "PlatformDeployment",
-    "PLATFORM_NAMES",
-    "PROFILES",
-    "all_profiles",
-    "get_profile",
-    "feature_row",
-    "feature_table",
-    "platform_summary",
-    "ControlChannelSpec",
-    "DataChannelSpec",
-    "FeatureSet",
-    "GaussianMs",
-    "HTTPS_TRANSPORT",
-    "LatencyProfile",
-    "PlatformProfile",
-    "UDP_TRANSPORT",
-]
+_EXPORTS = {
+    "LightweightPeer": ".base",
+    "PlatformClient": ".base",
+    "PlatformDeployment": ".base",
+    "PLATFORM_NAMES": ".profiles",
+    "PROFILES": ".profiles",
+    "all_profiles": ".profiles",
+    "get_profile": ".profiles",
+    "feature_row": ".registry",
+    "feature_table": ".registry",
+    "platform_summary": ".registry",
+    "ControlChannelSpec": ".spec",
+    "DataChannelSpec": ".spec",
+    "FeatureSet": ".spec",
+    "GaussianMs": ".spec",
+    "HTTPS_TRANSPORT": ".spec",
+    "LatencyProfile": ".spec",
+    "PlatformProfile": ".spec",
+    "UDP_TRANSPORT": ".spec",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

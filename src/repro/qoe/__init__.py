@@ -15,6 +15,8 @@ alone — e.g. for CLI help text — does not pull in the full testbed
 stack.
 """
 
+from .._lazy import lazy_exports
+
 _EXPORTS = {
     "ChannelSignals": ".model",
     "DEFAULT_MODEL": ".model",
@@ -50,22 +52,4 @@ _EXPORTS = {
 }
 
 __all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name):
-    try:
-        module_name = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    import importlib
-
-    module = importlib.import_module(module_name, __name__)
-    value = getattr(module, name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_EXPORTS))
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

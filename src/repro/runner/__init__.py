@@ -34,6 +34,7 @@ import re
 import time
 import typing
 
+from ..obs.context import active_live_server
 from .cache import ResultCache
 from .executor import CampaignExecutor, TaskResult, set_live_queue
 from .plan import CampaignPlan, TaskSpec, campaign_id_for, experiment_accepts_seed
@@ -195,8 +196,6 @@ def run_campaign(
     it; the live plane is read-only, so results are byte-identical
     whether or not it is attached.
     """
-    from ..obs.live import active_live_server
-
     tasks = list(plan)
     campaign_id = campaign_id_for(tasks)
     own_telemetry = telemetry is None

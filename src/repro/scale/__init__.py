@@ -19,57 +19,32 @@ projects the same calibration to 10^4-10^6 concurrent users:
 See ``docs/SCALE.md`` for assumptions and the validity envelope.
 """
 
-from .aggregate import (
-    ARCHITECTURES,
-    ChannelRate,
-    RoomModel,
-    expected_channel_payload_kbps,
-    room_model,
-)
-from .capacity import (
-    CapacityPlan,
-    CostModel,
-    capacity_table,
-    plan_capacity,
-)
-from .fluid import (
-    FluidQueueResult,
-    FluidRoomResult,
-    PiecewiseConstant,
-    churn_occupancy,
-    fluid_queue,
-    simulate_room,
-)
-from .hybrid import FluidCrowd
-from .shard import (
-    ScaleResult,
-    ScaleScenario,
-    metaverse_scale_experiment,
-    run_sharded,
-    shard_ranges,
-    simulate_shard,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ARCHITECTURES",
-    "CapacityPlan",
-    "ChannelRate",
-    "CostModel",
-    "FluidCrowd",
-    "FluidQueueResult",
-    "FluidRoomResult",
-    "PiecewiseConstant",
-    "RoomModel",
-    "ScaleResult",
-    "ScaleScenario",
-    "capacity_table",
-    "churn_occupancy",
-    "expected_channel_payload_kbps",
-    "fluid_queue",
-    "plan_capacity",
-    "room_model",
-    "run_sharded",
-    "shard_ranges",
-    "simulate_room",
-    "simulate_shard",
-]
+_EXPORTS = {
+    "ARCHITECTURES": ".aggregate",
+    "ChannelRate": ".aggregate",
+    "RoomModel": ".aggregate",
+    "expected_channel_payload_kbps": ".aggregate",
+    "room_model": ".aggregate",
+    "CapacityPlan": ".capacity",
+    "CostModel": ".capacity",
+    "capacity_table": ".capacity",
+    "plan_capacity": ".capacity",
+    "FluidQueueResult": ".fluid",
+    "FluidRoomResult": ".fluid",
+    "PiecewiseConstant": ".fluid",
+    "churn_occupancy": ".fluid",
+    "fluid_queue": ".fluid",
+    "simulate_room": ".fluid",
+    "FluidCrowd": ".hybrid",
+    "ScaleResult": ".shard",
+    "ScaleScenario": ".shard",
+    "metaverse_scale_experiment": ".shard",
+    "run_sharded": ".shard",
+    "shard_ranges": ".shard",
+    "simulate_shard": ".shard",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -29,23 +29,21 @@ or from a shell: ``python -m repro serve`` / ``submit`` / ``status`` /
 ``artifacts`` / ``worker`` (see docs/SERVE.md).
 """
 
-from .api import ServeDaemon
-from .client import ServeApiError, ServeClient
-from .queue import Job, JobQueue
-from .schema import SpecError, normalize_spec, plan_from_spec, validate_spec
-from .store import ArtifactStore
-from .worker import ServeWorker
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ArtifactStore",
-    "Job",
-    "JobQueue",
-    "ServeApiError",
-    "ServeClient",
-    "ServeDaemon",
-    "ServeWorker",
-    "SpecError",
-    "normalize_spec",
-    "plan_from_spec",
-    "validate_spec",
-]
+_EXPORTS = {
+    "ServeDaemon": ".api",
+    "ServeApiError": ".client",
+    "ServeClient": ".client",
+    "Job": ".queue",
+    "JobQueue": ".queue",
+    "SpecError": ".schema",
+    "normalize_spec": ".schema",
+    "plan_from_spec": ".schema",
+    "validate_spec": ".schema",
+    "ArtifactStore": ".store",
+    "ServeWorker": ".worker",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

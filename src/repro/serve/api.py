@@ -41,6 +41,7 @@ import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, unquote, urlparse
 
+from ..measure.experiment import registry
 from ..obs.live import SERVE_POLL_S
 from .queue import QUEUE_FILENAME, Job, JobQueue
 from .schema import SpecError, normalize_spec, plan_from_spec
@@ -110,6 +111,9 @@ class ServeDaemon:
     def start(self) -> "ServeDaemon":
         if self._started:
             return self
+        # Build the experiment registry (it imports every experiment's
+        # module) before /healthz answers, not inside the first submit.
+        registry()
         self._started = True
         self._serve_thread.start()
         for worker in self._workers:

@@ -1,54 +1,35 @@
 """Platform server substrates: placement, control, data, voice, RR."""
 
-from .control import ControlService
-from .forwarding import DATA_PORT, AvatarDataServer
-from .interest import InterestScopedServer
-from .p2p import P2P_PORT_BASE, P2pMesh, P2pPeer
-from .placement import (
-    ANYCAST,
-    FIXED,
-    REGIONAL,
-    PlacementDeployment,
-    PlacementSpec,
-    deploy_placement,
-)
-from .remote_rendering import (
-    CLOUD_GAMING_QUALITY,
-    HD_QUALITY,
-    RemoteRenderingServer,
-    VideoQuality,
-    crossover_users,
-    forwarding_downlink_mbps,
-)
-from .rooms import MemberBinding, Room, RoomFullError, RoomRegistry
-from .viewport_adaptive import ViewportAdaptiveServer
-from .voice import SFU_PORT, VoiceSfu
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ControlService",
-    "DATA_PORT",
-    "AvatarDataServer",
-    "InterestScopedServer",
-    "P2P_PORT_BASE",
-    "P2pMesh",
-    "P2pPeer",
-    "ANYCAST",
-    "FIXED",
-    "REGIONAL",
-    "PlacementDeployment",
-    "PlacementSpec",
-    "deploy_placement",
-    "CLOUD_GAMING_QUALITY",
-    "HD_QUALITY",
-    "RemoteRenderingServer",
-    "VideoQuality",
-    "crossover_users",
-    "forwarding_downlink_mbps",
-    "MemberBinding",
-    "Room",
-    "RoomFullError",
-    "RoomRegistry",
-    "ViewportAdaptiveServer",
-    "SFU_PORT",
-    "VoiceSfu",
-]
+_EXPORTS = {
+    "ControlService": ".control",
+    "DATA_PORT": ".forwarding",
+    "AvatarDataServer": ".forwarding",
+    "InterestScopedServer": ".interest",
+    "P2P_PORT_BASE": ".p2p",
+    "P2pMesh": ".p2p",
+    "P2pPeer": ".p2p",
+    "ANYCAST": ".placement",
+    "FIXED": ".placement",
+    "REGIONAL": ".placement",
+    "PlacementDeployment": ".placement",
+    "PlacementSpec": ".placement",
+    "deploy_placement": ".placement",
+    "CLOUD_GAMING_QUALITY": ".remote_rendering",
+    "HD_QUALITY": ".remote_rendering",
+    "RemoteRenderingServer": ".remote_rendering",
+    "VideoQuality": ".remote_rendering",
+    "crossover_users": ".remote_rendering",
+    "forwarding_downlink_mbps": ".remote_rendering",
+    "MemberBinding": ".rooms",
+    "Room": ".rooms",
+    "RoomFullError": ".rooms",
+    "RoomRegistry": ".rooms",
+    "ViewportAdaptiveServer": ".viewport_adaptive",
+    "SFU_PORT": ".voice",
+    "VoiceSfu": ".voice",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

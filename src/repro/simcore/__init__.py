@@ -1,22 +1,21 @@
 """Discrete-event simulation kernel used by every substrate."""
 
-from .events import ScheduledEvent, Signal
-from .kernel import SimulationError, Simulator
-from .process import Process, ProcessKilled, Timeout, Wait
-from .rng import RandomStreams, derive_seed
-from .ticks import TickScheduler, TickTimer
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ScheduledEvent",
-    "Signal",
-    "TickScheduler",
-    "TickTimer",
-    "SimulationError",
-    "Simulator",
-    "Process",
-    "ProcessKilled",
-    "Timeout",
-    "Wait",
-    "RandomStreams",
-    "derive_seed",
-]
+_EXPORTS = {
+    "ScheduledEvent": ".events",
+    "Signal": ".events",
+    "SimulationError": ".kernel",
+    "Simulator": ".kernel",
+    "Process": ".process",
+    "ProcessKilled": ".process",
+    "Timeout": ".process",
+    "Wait": ".process",
+    "RandomStreams": ".rng",
+    "derive_seed": ".rng",
+    "TickScheduler": ".ticks",
+    "TickTimer": ".ticks",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -37,6 +37,7 @@ from ..obs.context import observability_for_new_simulator
 from .events import ScheduledEvent, Signal
 from .process import Process
 from .rng import RandomStreams
+from .ticks import TickScheduler
 
 #: Compact the heap once this many cancelled entries linger *and* they
 #: make up at least half of it (amortised O(1) per cancellation).
@@ -103,8 +104,6 @@ class Simulator:
     def ticks(self):
         """The shared coarse tick scheduler (created on first use)."""
         if self._ticks is None:
-            from .ticks import TickScheduler
-
             self._ticks = TickScheduler(self)
         return self._ticks
 

@@ -1,10 +1,19 @@
 """Unit tests for topology routing, anycast, TTL, and access points."""
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from repro.net.geo import EAST_US, EUROPE_UK, NORTH_US, WEST_US
+from repro.net.node import AccessPoint, Host
 from repro.net.ping import ProbeTool
 from repro.net.topology import Network
 from repro.net.traceroute import TracerouteTool
 from repro.simcore import Simulator
+
+try:
+    import networkx as nx
+except ImportError:  # the routing oracle below; a test extra, not a dependency
+    nx = None
 
 
 def build_mesh(sim):
@@ -170,3 +179,102 @@ def test_ttl_expiry_generates_time_exceeded(world):
     assert len(replies) == 1
     assert replies[0].payload[0] == "time-exceeded"
     assert replies[0].src.ip == world.r_east.ip
+
+
+# ----------------------------------------------------------------------
+# Tie order: equal-delay paths resolve the way networkx's Dijkstra does
+# ----------------------------------------------------------------------
+def test_equal_cost_paths_keep_the_first_path_found():
+    sim = Simulator(seed=6)
+    network = Network(sim)
+    client = network.add_host("client", EAST_US)
+    server = network.add_host("server", EAST_US, provider="cloud")
+    north = network.add_router("r-north", EAST_US)
+    south = network.add_router("r-south", EAST_US)
+    # client's egress lists r-south first; server's lists r-north first.
+    network.connect(client, south, delay_s=0.001)
+    network.connect(client, north, delay_s=0.001)
+    network.connect(north, server, delay_s=0.001)
+    network.connect(south, server, delay_s=0.001)
+    group = network.anycast_group("edge", "Cloudflare")
+    for name, router in (("pop-west", north), ("pop-east", south)):
+        pop = network.add_host(name, EAST_US, provider="Cloudflare")
+        network.connect(pop, router, delay_s=0.001)
+        network.join_anycast(group, pop)
+    network.build_routes()
+    # Two 2 ms paths each way: the one pushed first wins, not the name.
+    assert client.routes[server.ip.value] is client.egress["r-south"]
+    assert server.routes[client.ip.value] is server.egress["r-north"]
+    # Two members 2 ms away: the lower name wins, routed along its path.
+    pop_east = network.nodes["pop-east"]
+    assert network.anycast_member_for(client, group) is pop_east
+    assert network.anycast_member_for(server, group) is pop_east
+    assert client.routes[group.ip.value] is client.egress["r-south"]
+    assert server.routes[group.ip.value] is server.egress["r-south"]
+
+
+DELAYS_S = (0.001, 0.002, 0.003)
+
+
+def _random_network(data) -> Network:
+    """A connected network with 1-3 ms links, so equal-delay paths abound."""
+    network = Network(Simulator(seed=0))
+    n = data.draw(st.integers(3, 10), label="nodes")
+    nodes = []
+    for name in data.draw(st.permutations([f"node-{i}" for i in range(n)])):
+        kind = data.draw(st.sampled_from(("router", "host", "access_point")))
+        nodes.append(getattr(network, f"add_{kind}")(name, EAST_US))
+    tree = [(data.draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    extra = data.draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n)
+    )
+    connected = set()
+    for a, b in data.draw(st.permutations(tree + extra)):
+        if a != b and frozenset((a, b)) not in connected:
+            connected.add(frozenset((a, b)))
+            delay_s = data.draw(st.sampled_from(DELAYS_S))
+            network.connect(nodes[a], nodes[b], delay_s=delay_s)
+    hosts = [node for node in nodes if isinstance(node, Host)]
+    for index in range(data.draw(st.integers(0, 2)) if hosts else 0):
+        group = network.anycast_group(f"group-{index}", "Cloudflare")
+        members = data.draw(st.lists(st.sampled_from(hosts), min_size=1, max_size=3))
+        for host in dict.fromkeys(members):
+            network.join_anycast(group, host)
+    return network
+
+
+def _networkx_routes(network: Network, graph) -> dict:
+    """Each node's next-hop table as networkx's all-pairs Dijkstra picks it."""
+    paths = dict(nx.all_pairs_dijkstra(graph, weight="weight"))
+    hosts = [n for n in network.nodes.values() if isinstance(n, (Host, AccessPoint))]
+    tables = {}
+    for node in network.nodes.values():
+        distances, routes = paths[node.name]
+        table = tables[node.name] = {}
+        for host in hosts:
+            if host is not node:
+                table[host.ip.value] = node.egress[routes[host.name][1]]
+        for group in network.anycast_groups.values():
+            nearest = min(group.members, key=lambda m: (distances[m.name], m.name))
+            if nearest is not node:
+                table[group.ip.value] = node.egress[routes[nearest.name][1]]
+    return tables
+
+
+@pytest.mark.skipif(nx is None, reason="networkx, the routing oracle, is not installed")
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_routes_match_networkx_dijkstra(data):
+    network = _random_network(data)
+    network.build_routes()
+    graph = nx.DiGraph()
+    graph.add_nodes_from(network.nodes)
+    for link in network.links():
+        graph.add_edge(link.src.name, link.dst.name, weight=link.delay_s)
+    expected = _networkx_routes(network, graph)
+    for node in network.nodes.values():
+        assert list(node.routes.items()) == list(expected[node.name].items())
+        lengths = nx.single_source_dijkstra_path_length(graph, node.name, weight="weight")
+        for group in network.anycast_groups.values():
+            member = min(group.members, key=lambda m: (lengths[m.name], m.name))
+            assert network.anycast_member_for(node, group) is member
