@@ -1,15 +1,17 @@
 """Scenario-cell campaigns: fault x intensity x platform matrices.
 
-One scenario cell (:func:`run_scenario_cell`) builds a fresh testbed,
-rides a :class:`QoeProbe` over it, optionally arms one chaos scenario
-at one intensity, and runs to the end of the observation window.  The
-``chaos`` experiment (:func:`run_chaos_cell`) judges that run as a
-:class:`ChaosVerdict`; the ``qoe-score`` experiment
-(:func:`repro.qoe.campaign.run_qoe_cell`) scores its windows.  Both are
-plain module-level functions, so whole matrices flow through
-:mod:`repro.runner` (:func:`run_cell_campaign`): cached,
-crash-isolated, retried, and parallelized exactly like every other
-campaign — and byte-identical results regardless of worker count.
+A scenario cell builds a fresh testbed, rides a :class:`QoeProbe` over
+it, optionally arms one chaos scenario at one intensity, and runs to the
+end of its observation window.  The ``chaos`` experiment
+(:func:`run_chaos_cell`) judges that run as a :class:`ChaosVerdict`;
+the ``qoe-score`` experiment (:func:`repro.qoe.campaign.run_qoe_cell`)
+scores its windows.  Cells of one :func:`scenario_key` run the same
+simulation, so :func:`run_scenario_unit` runs it once for all of them;
+a lone cell is a unit of one.  Both cells are plain module-level
+functions, so whole matrices flow through :mod:`repro.runner`
+(:func:`run_cell_campaign`): cached, crash-isolated, retried, and
+parallelized exactly like every other campaign — and byte-identical
+results regardless of worker count.
 """
 
 from __future__ import annotations
@@ -33,44 +35,80 @@ JOIN_AT_S = 2.0
 SETTLE_S = 8.0
 
 
-def run_scenario_cell(
-    platform: str,
-    seed: int,
-    n_users: int,
-    scenario: typing.Optional[str],
-    intensity: str,
-    duration_s: float,
-) -> typing.Tuple[Testbed, QoeProbe, typing.Optional[FaultInjector], float]:
-    """Run one probed testbed; returns ``(testbed, probe, injector, end)``.
+def scenario_key(arguments: typing.Mapping) -> tuple:
+    """The simulation a ``chaos`` or ``qoe-score`` cell runs, from its
+    full arguments: ``(platform, seed, n_users, scenario, intensity)``.
 
-    The run lasts ``duration_s`` past join + download settle.  A
-    ``scenario`` is armed ``fault_offset_s`` after the settle point and
-    extends the run to ``observe_s`` past its heal, whichever is later;
-    without one, ``injector`` is ``None``.
+    A chaos cell has two users.  Without a scenario nothing is armed,
+    so the intensity is ``None``.
     """
+    scenario = arguments["scenario"]
+    return (
+        arguments["platform"],
+        arguments["seed"],
+        arguments.get("n_users", 2),
+        scenario,
+        None if scenario is None else arguments["intensity"],
+    )
+
+
+def run_scenario_unit(
+    members: typing.Sequence[typing.Tuple[str, typing.Mapping]],
+) -> list:
+    """Run ``chaos`` and ``qoe-score`` cells of one :func:`scenario_key`
+    on one simulation; returns their values in member order.
+
+    ``members`` are ``(experiment, arguments)`` pairs with every
+    argument given.  The probed testbed is built, and its scenario
+    armed ``fault_offset_s`` after the settle point, once.  A member's
+    run lasts its ``duration_s`` (none for a chaos cell) past join +
+    download settle, extended to ``observe_s`` past the heal when a
+    scenario is armed.  The testbed runs to each member's end in
+    ascending order, and the member's verdict or window scores are
+    taken there.  A split run dispatches exactly what one run does, so
+    each value equals the cell run alone.
+    """
+    # qoe.campaign imports this module.
+    from ..qoe.campaign import qoe_cell_result
+
+    platform, seed, n_users, scenario, intensity = scenario_key(members[0][1])
     spec = None
     if scenario is not None:
         spec = get_scenario(scenario)
         spec.params(intensity)  # fail fast on unknown intensity
     # A metrics-only bundle lights up the QoE source counters without
     # kernel profiling; under an active collector (campaign worker with
-    # metrics_dir, CLI --profile) the collector's full obs applies
-    # instead.  Either way the scores are identical: they derive only
-    # from sim-deterministic metric values.
+    # metrics_dir, CLI --profile) the collector's obs applies instead.
+    # Either way the scores are identical: they derive only from
+    # sim-deterministic metric values.
     obs = None if active_collector() is not None else MetricsOnlyObservability()
     testbed = Testbed(platform, n_users=n_users, seed=seed, obs=obs)
     testbed.start_all(join_at=JOIN_AT_S)
     probe = QoeProbe(testbed)
     probe.start()
     settle = JOIN_AT_S + SETTLE_S + download_drain_s(testbed.profile)
-    end = settle + duration_s
     injector = None
     if spec is not None:
         injector = FaultInjector(testbed, spec, intensity)
         heal_at = injector.arm(settle + spec.fault_offset_s)
-        end = max(end, heal_at + spec.observe_s)
-    testbed.run(until=end)
-    return testbed, probe, injector, end
+    ends = []
+    for _, arguments in members:
+        end = settle + arguments.get("duration_s", 0.0)
+        if injector is not None:
+            end = max(end, heal_at + spec.observe_s)
+        ends.append(end)
+    values: list = [None] * len(members)
+    for index in sorted(range(len(members)), key=ends.__getitem__):
+        end = ends[index]
+        testbed.run(until=end)
+        experiment, arguments = members[index]
+        if experiment == "chaos":
+            values[index] = compute_verdict(
+                testbed, injector, spec, intensity, seed, end, qoe_probe=probe
+            )
+        else:
+            values[index] = qoe_cell_result(testbed, probe, arguments, end)
+    return values
 
 
 def run_chaos_cell(
@@ -80,13 +118,13 @@ def run_chaos_cell(
     seed: int = 0,
 ) -> ChaosVerdict:
     """Run one (scenario, platform, intensity, seed) campaign cell."""
-    spec = get_scenario(scenario)  # a chaos cell always has a fault
-    testbed, probe, injector, end = run_scenario_cell(
-        platform, seed, 2, scenario, intensity, 0.0
-    )
-    return compute_verdict(
-        testbed, injector, spec, intensity, seed, end, qoe_probe=probe
-    )
+    get_scenario(scenario)  # a chaos cell always has a fault
+    arguments = {
+        "scenario": scenario, "platform": platform,
+        "intensity": intensity, "seed": seed,
+    }
+    (verdict,) = run_scenario_unit([("chaos", arguments)])
+    return verdict
 
 
 def intensity_names() -> typing.List[str]:

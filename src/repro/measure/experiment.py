@@ -9,23 +9,45 @@ CLI, campaign runners, notebooks) can enumerate and run them uniformly.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import typing
 
 
 @dataclasses.dataclass(frozen=True)
 class ExperimentSpec:
-    """One runnable experiment and its provenance."""
+    """One runnable experiment and its provenance.
+
+    Experiments whose tasks can share one simulation declare how:
+    ``unit_key(arguments)`` names the simulation a task runs, from its
+    full :meth:`arguments`, and ``unit_runner(members)`` runs that
+    simulation once for ``(experiment, arguments)`` members of one key,
+    returning each member's value, in member order, as the member run
+    alone would.  The campaign runner executes tasks of one key as one
+    unit.
+    """
 
     name: str
     artifact: str  # the paper table/figure/section it regenerates
     description: str
     runner: typing.Callable
     default_kwargs: typing.Mapping = dataclasses.field(default_factory=dict)
+    unit_key: typing.Optional[typing.Callable[[dict], typing.Hashable]] = None
+    unit_runner: typing.Optional[typing.Callable[[list], list]] = None
 
     def run(self, **overrides):
         kwargs = dict(self.default_kwargs)
         kwargs.update(overrides)
         return self.runner(**kwargs)
+
+    def arguments(self, **overrides) -> dict:
+        """The runner's parameters as :meth:`run` binds them for
+        ``overrides``, its own defaults included; a ``TypeError`` if
+        the runner does not accept them."""
+        kwargs = dict(self.default_kwargs)
+        kwargs.update(overrides)
+        bound = inspect.signature(self.runner).bind(**kwargs)
+        bound.apply_defaults()
+        return dict(bound.arguments)
 
 
 def _build_registry() -> typing.Dict[str, ExperimentSpec]:
@@ -46,7 +68,7 @@ def _build_registry() -> typing.Dict[str, ExperimentSpec]:
         table4_latency,
         viewport_width_experiment,
     )
-    from ..chaos.campaign import run_chaos_cell
+    from ..chaos.campaign import run_chaos_cell, run_scenario_unit, scenario_key
     from ..core.solutions import compare_solutions
     from ..qoe.campaign import run_qoe_cell
     from ..scale.shard import metaverse_scale_experiment
@@ -179,6 +201,8 @@ def _build_registry() -> typing.Dict[str, ExperimentSpec]:
             "one chaos fault-injection cell (scenario x platform x intensity)",
             run_chaos_cell,
             {"scenario": "link-flap", "platform": "vrchat"},
+            unit_key=scenario_key,
+            unit_runner=run_scenario_unit,
         ),
         ExperimentSpec(
             "qoe-score",
@@ -186,6 +210,8 @@ def _build_registry() -> typing.Dict[str, ExperimentSpec]:
             "per-user QoE scoring cell (MOS windows + SLO evaluation)",
             run_qoe_cell,
             {"platform": "vrchat"},
+            unit_key=scenario_key,
+            unit_runner=run_scenario_unit,
         ),
     ]
     return {spec.name: spec for spec in specs}

@@ -11,7 +11,8 @@ a collector::
 
 While a collector is active, every ``Simulator()`` constructed in this
 process (the worker running the task) gets an *enabled* observability
-instance and registers it with the collector; with no collector active,
+instance and registers it with the collector — a full one, or a
+metrics-only one under ``collect(trace=False)``; with no collector active,
 simulators default to the shared no-op :data:`NULL_OBS` and the whole
 layer costs one attribute check per call site.  Collection is
 process-local state, which is exactly the isolation the campaign
@@ -94,14 +95,21 @@ def obs_of(sim) -> Observability:
 
 
 class ObsCollector:
-    """Accumulates the observability of every Simulator built under it."""
+    """Accumulates the observability of every Simulator built under it.
 
-    def __init__(self, max_trace_events: typing.Optional[int] = None) -> None:
+    ``max_trace_events`` and ``trace`` configure each bundle as
+    :class:`Observability` does: ``trace=False`` collects metrics only.
+    """
+
+    def __init__(
+        self, max_trace_events: typing.Optional[int] = None, trace: bool = True
+    ) -> None:
         self.max_trace_events = max_trace_events
+        self.trace = trace
         self.observabilities: typing.List[Observability] = []
 
     def new_observability(self) -> Observability:
-        obs = Observability(max_trace_events=self.max_trace_events)
+        obs = Observability(max_trace_events=self.max_trace_events, trace=self.trace)
         self.observabilities.append(obs)
         return obs
 
@@ -157,11 +165,12 @@ def observability_for_new_simulator():
 
 
 @contextlib.contextmanager
-def collect(max_trace_events: typing.Optional[int] = None):
-    """Enable observability for every Simulator built in this block."""
+def collect(max_trace_events: typing.Optional[int] = None, trace: bool = True):
+    """Enable observability for every Simulator built in this block
+    (metrics only with ``trace=False``)."""
     global _ACTIVE_COLLECTOR
     previous = _ACTIVE_COLLECTOR
-    collector = ObsCollector(max_trace_events=max_trace_events)
+    collector = ObsCollector(max_trace_events=max_trace_events, trace=trace)
     _ACTIVE_COLLECTOR = collector
     try:
         yield collector

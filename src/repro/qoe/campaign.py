@@ -1,7 +1,7 @@
 """QoE campaign driver: score a platform matrix, optionally under fault.
 
-One cell (:func:`run_qoe_cell`) is the shared scenario cell
-(:func:`repro.chaos.campaign.run_scenario_cell`: a fresh testbed with a
+One cell (:func:`run_qoe_cell`) is a scenario cell
+(:func:`repro.chaos.campaign.run_scenario_unit`: a fresh testbed with a
 metrics-only observability bundle and a :class:`QoeProbe` riding the
 run) plus window scoring; it returns a picklable
 :class:`QoeCellResult` — per-user window scores plus roll-ups.  Passing
@@ -21,7 +21,7 @@ import dataclasses
 import operator
 import typing
 
-from ..chaos.campaign import run_cell_campaign, run_scenario_cell
+from ..chaos.campaign import run_cell_campaign, run_scenario_unit
 from ..chaos.scenarios import get_scenario
 from ..platforms.profiles import PLATFORM_NAMES
 from ..runner import CampaignPlan
@@ -69,21 +69,33 @@ def run_qoe_cell(
     ``duration_s`` is the scored in-event time after join + download
     settle; with a ``scenario`` the run instead extends to the
     scenario's observation window past the heal point, whichever is
-    later — the shared :func:`~repro.chaos.campaign.run_scenario_cell`
-    timing that ``run_chaos_cell`` judges.
+    later.  That is the timing
+    :func:`~repro.chaos.campaign.run_scenario_unit` gives every
+    scenario cell, so ``run_chaos_cell`` judges the same run.
     """
-    testbed, probe, _, end = run_scenario_cell(
-        platform, seed, n_users, scenario, intensity, duration_s
-    )
+    arguments = {
+        "platform": platform, "n_users": n_users, "duration_s": duration_s,
+        "seed": seed, "scenario": scenario, "intensity": intensity,
+    }
+    (result,) = run_scenario_unit([("qoe-score", arguments)])
+    return result
+
+
+def qoe_cell_result(
+    testbed, probe, arguments: typing.Mapping, end: float
+) -> QoeCellResult:
+    """Score the windows of a ``qoe-score`` cell whose testbed is at
+    ``end``; ``arguments`` are the cell's, every one given."""
     windows = tuple(probe.window_scores())
     users = tuple(probe.user_summaries())
     values = [window.score for window in windows]
+    scenario = arguments["scenario"]
     return QoeCellResult(
         platform=testbed.profile.name,
-        seed=seed,
-        n_users=n_users,
+        seed=arguments["seed"],
+        n_users=arguments["n_users"],
         scenario=scenario,
-        intensity=intensity if scenario is not None else None,
+        intensity=arguments["intensity"] if scenario is not None else None,
         end_s=round(end, 6),
         windows=windows,
         users=users,

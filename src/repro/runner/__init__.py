@@ -23,7 +23,9 @@ Quickstart::
 
 Parallel execution is deterministic: per-task results are bit-identical
 to a serial run of the same plan, because every task owns its seed and
-no state is shared between tasks.
+no state is shared between tasks.  Tasks whose registry experiments
+declare the same simulation (``ExperimentSpec.unit_key``) run it once,
+as one unit, with the same per-task results and cache entries.
 """
 
 from __future__ import annotations
@@ -37,7 +39,13 @@ import typing
 from ..obs.context import active_live_server
 from .cache import ResultCache
 from .executor import CampaignExecutor, TaskResult, set_live_queue
-from .plan import CampaignPlan, TaskSpec, campaign_id_for, experiment_accepts_seed
+from .plan import (
+    CampaignPlan,
+    TaskSpec,
+    campaign_id_for,
+    experiment_accepts_seed,
+    group_units,
+)
 from .telemetry import CampaignSummary, TelemetryWriter
 
 __all__ = [
@@ -179,22 +187,31 @@ def run_campaign(
     failures without aborting the campaign; inspect
     ``result.failures`` or ``result.summary.ok``.
 
-    ``collect_obs=True`` (implied by ``metrics_dir``, and by an active
-    live server) runs every task under :mod:`repro.obs` collection:
-    each executed task's ``TaskResult.metrics`` carries its
-    observability dump (kernel event counts, per-channel byte counters,
-    packet hop traces) plus the mergeable ``registry`` form used for
-    fleet aggregation, and with ``metrics_dir`` each dump is also
-    written to ``<metrics_dir>/<task_id>.json`` next to an
-    ``index.json`` (task_id -> params/seed/dump path) and the
-    cross-worker ``campaign_registry.json`` aggregate (byte-identical
-    for any worker count).  Cached results carry no metrics — they were
-    not re-executed.
+    Tasks still to run after the cache lookup that share a simulation
+    (:func:`~repro.runner.plan.group_units`) run as one unit: one pool
+    submission, retried and timed out as one.  Each task keeps its own
+    ``task_start``/``task_end`` events, cache entry and
+    :class:`TaskResult`, in plan order; the unit's wall time is split
+    evenly among them.
+
+    ``collect_obs=True`` (implied by ``metrics_dir``) runs every unit
+    under full :mod:`repro.obs` collection: the first executed task of
+    each unit carries the unit's observability dump in
+    ``TaskResult.metrics`` (kernel event counts and callback profile,
+    per-channel byte counters, packet hop traces) plus the mergeable
+    ``registry`` form used for fleet aggregation.  With ``metrics_dir``
+    each dump is also written once, to
+    ``<metrics_dir>/<first task_id>.json``, next to an ``index.json``
+    (task_id -> params/seed/dump path, naming the unit's dump for each
+    of its tasks) and the cross-worker ``campaign_registry.json``
+    aggregate (byte-identical for any worker count).  Cached results
+    carry no metrics — they were not re-executed.
 
     When a :func:`repro.obs.live.live_server` block is active, the run
-    additionally streams progress events and per-task metric deltas to
-    it; the live plane is read-only, so results are byte-identical
-    whether or not it is attached.
+    additionally streams progress events and each unit's metrics to it;
+    without ``collect_obs`` or ``metrics_dir`` it collects metrics only
+    (no trace, no callback profile).  The live plane is read-only, so
+    results are byte-identical whether or not it is attached.
     """
     tasks = list(plan)
     campaign_id = campaign_id_for(tasks)
@@ -206,7 +223,6 @@ def run_campaign(
     live = active_live_server()
     if live is not None:
         telemetry.add_listener(live.on_telemetry)
-        collect_obs = True
     cache = None
     if use_cache and cache_dir is not None:
         cache = ResultCache(cache_dir)
@@ -243,7 +259,8 @@ def run_campaign(
         timeout_s=timeout_s,
         max_retries=max_retries,
         backoff_s=backoff_s,
-        collect_obs=collect_obs,
+        collect_obs=collect_obs or live is not None,
+        trace=collect_obs,
     )
     live_queue = None
     if live is not None and to_run:
@@ -260,27 +277,39 @@ def run_campaign(
     dump_names: typing.Dict[str, str] = {}
     try:
         if to_run:
-            specs = [task for _, task in to_run]
+            units = [
+                [to_run[position] for position in unit]
+                for unit in group_units([task for _, task in to_run])
+            ]
+            specs = [[task for _, task in unit] for unit in units]
             if parallel:
                 executed = executor.run(specs, telemetry)
             else:
                 executed = executor.run_serial(specs, telemetry)
-            for (index, _), task_result in zip(to_run, executed):
-                results[index] = task_result
-                if cache is not None and task_result.ok:
-                    cache.put(
-                        task_result.spec, task_result.value, task_result.wall_time_s
-                    )
-                if task_result.metrics is not None:
-                    task_result.metrics["campaign_id"] = campaign_id
-                    if live is not None:
-                        live.note_task_metrics(
-                            task_result.spec.task_id,
-                            task_result.metrics.get("registry"),
+            for unit, unit_results in zip(units, executed):
+                dump_name = None
+                for (index, _), task_result in zip(unit, unit_results):
+                    results[index] = task_result
+                    if cache is not None and task_result.ok:
+                        cache.put(
+                            task_result.spec, task_result.value,
+                            task_result.wall_time_s,
                         )
-                if metrics_dir is not None and task_result.metrics is not None:
-                    path = _write_task_metrics(metrics_dir, task_result, telemetry)
-                    dump_names[task_result.spec.task_id] = os.path.basename(path)
+                    if task_result.metrics is not None:
+                        task_result.metrics["campaign_id"] = campaign_id
+                        if live is not None:
+                            live.note_task_metrics(
+                                task_result.spec.task_id,
+                                task_result.metrics.get("registry"),
+                            )
+                        if metrics_dir is not None:
+                            dump_name = os.path.basename(
+                                _write_task_metrics(
+                                    metrics_dir, task_result, telemetry
+                                )
+                            )
+                    if dump_name is not None:
+                        dump_names[task_result.spec.task_id] = dump_name
     finally:
         if live_queue is not None:
             set_live_queue(None)

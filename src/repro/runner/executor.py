@@ -5,8 +5,11 @@ Design constraints, in order:
 1. **Determinism** — a task is ``(experiment, kwargs, seed)`` and owns
    its entire RNG state, so its result is identical whether it runs in
    this process, a worker, or another machine.  The executor therefore
-   never shares state between tasks; parallelism only reorders *when*
-   tasks run, never *what* they compute.
+   never shares state between units; parallelism only reorders *when*
+   they run, never *what* they compute.  A unit is a list of tasks that
+   share one simulation (:func:`~repro.runner.plan.group_units`),
+   usually a single task: it is one pool submission, retried and timed
+   out as one, while every task keeps its own telemetry and result.
 2. **Fault isolation** — a task that raises is retried with exponential
    backoff up to ``max_retries`` times; a task that kills its worker
    (segfault, ``os._exit``) breaks the pool, which is rebuilt and the
@@ -36,7 +39,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 
 from ..obs.context import collect as _collect_obs
-from .plan import TaskSpec
+from .plan import TaskSpec, execute_unit
 from .telemetry import TelemetryWriter
 
 #: Per-simulation trace-buffer bound for campaign tasks.  A campaign
@@ -74,45 +77,54 @@ def _live_put(payload: dict) -> None:
 
 @dataclasses.dataclass(frozen=True)
 class _WorkerReply:
-    """What a worker sends back: the result plus its own accounting."""
+    """What a worker sends back: the unit's values plus its accounting."""
 
     worker_pid: int
     wall_time_s: float
-    result: typing.Any
+    results: typing.List[typing.Any]
     metrics: typing.Optional[dict] = None
 
 
-def _execute_in_worker(spec: TaskSpec, collect_obs: bool = False) -> _WorkerReply:
-    """Module-level so it pickles by reference into worker processes."""
-    _live_put(
-        {"kind": "task_running", "task": spec.task_id, "pid": os.getpid()}
-    )
+def _execute_in_worker(
+    unit: typing.Sequence[TaskSpec], collect_obs: bool = False, trace: bool = True
+) -> _WorkerReply:
+    """Module-level so it pickles by reference into worker processes.
+
+    With ``collect_obs`` the unit runs under one collector, full or
+    (``trace=False``) metrics only, so it yields one dump.
+    """
+    pid = os.getpid()
+    for spec in unit:
+        _live_put({"kind": "task_running", "task": spec.task_id, "pid": pid})
     started = time.perf_counter()
     metrics = None
     if collect_obs:
         # Observability collection is process-local, so each worker
-        # observes exactly the simulators its own task builds.
-        with _collect_obs(max_trace_events=CAMPAIGN_TRACE_EVENTS) as collector:
-            result = spec.execute()
+        # observes exactly the simulators its own unit builds.
+        with _collect_obs(
+            max_trace_events=CAMPAIGN_TRACE_EVENTS, trace=trace
+        ) as collector:
+            results = execute_unit(unit)
         metrics = collector.merged_dump()
         # The mergeable registry form rides along with the dump: it is
         # what repro.obs.fleet folds into the campaign-level registry.
-        metrics["registry"] = collector.fleet_dump(source=spec.task_id)
-        metrics["task_id"] = spec.task_id
+        metrics["registry"] = collector.fleet_dump(source=unit[0].task_id)
+        metrics["task_id"] = unit[0].task_id
     else:
-        result = spec.execute()
+        results = execute_unit(unit)
     wall = time.perf_counter() - started
     if _LIVE_QUEUE is not None:
-        payload = {
-            "kind": "task_metrics",
-            "task": spec.task_id,
-            "pid": os.getpid(),
-            "wall_time_s": round(wall, 6),
-        }
-        if metrics is not None:
-            payload["registry"] = metrics["registry"]
-        _live_put(payload)
-    return _WorkerReply(os.getpid(), wall, result, metrics)
+        for index, spec in enumerate(unit):
+            payload = {
+                "kind": "task_metrics",
+                "task": spec.task_id,
+                "pid": pid,
+                "wall_time_s": round(wall / len(unit), 6),
+            }
+            if metrics is not None and index == 0:
+                payload["registry"] = metrics["registry"]
+            _live_put(payload)
+    return _WorkerReply(pid, wall, results, metrics)
 
 
 @dataclasses.dataclass
@@ -127,8 +139,9 @@ class TaskResult:
     wall_time_s: float = 0.0
     from_cache: bool = False
     worker_pid: typing.Optional[int] = None
-    #: Observability dump (metrics + traces) when the campaign ran with
-    #: ``collect_obs``; None for cached results and failures.
+    #: Observability dump (metrics + traces) when the campaign collected
+    #: it; None for cached results and failures.  A unit's one dump
+    #: rides on its first task only.
     metrics: typing.Optional[dict] = None
 
     @property
@@ -139,9 +152,44 @@ class TaskResult:
 @dataclasses.dataclass
 class _Attempt:
     index: int
-    spec: TaskSpec
+    unit: typing.Sequence[TaskSpec]
     attempt: int = 1
     not_before: float = 0.0
+
+
+def _unit_results(unit, reply: _WorkerReply, attempt: int, telemetry) -> list:
+    """One ``task_end`` and one :class:`TaskResult` per task of a unit
+    that finished; its tasks split the unit's wall time evenly."""
+    wall = reply.wall_time_s / len(unit)
+    results = []
+    for index, (spec, value) in enumerate(zip(unit, reply.results)):
+        telemetry.emit(
+            "task_end",
+            task=spec.task_id,
+            status="ok",
+            wall_time_s=round(wall, 6),
+            worker_pid=reply.worker_pid,
+            attempt=attempt,
+        )
+        results.append(
+            TaskResult(
+                spec, "ok", value=value, attempts=attempt, wall_time_s=wall,
+                worker_pid=reply.worker_pid,
+                metrics=reply.metrics if index == 0 else None,
+            )
+        )
+    return results
+
+
+def _emit_starts(unit, attempt: int, telemetry) -> None:
+    for spec in unit:
+        telemetry.emit(
+            "task_start",
+            task=spec.task_id,
+            experiment=spec.experiment,
+            seed=spec.seed,
+            attempt=attempt,
+        )
 
 
 class CampaignExecutor:
@@ -156,13 +204,17 @@ class CampaignExecutor:
         poll_interval_s: float = 0.05,
         start_method: typing.Optional[str] = None,
         collect_obs: bool = False,
+        trace: bool = True,
     ) -> None:
         self.max_workers = max_workers or (os.cpu_count() or 2)
         self.timeout_s = timeout_s
         self.max_retries = max_retries
         self.backoff_s = backoff_s
         self.poll_interval_s = poll_interval_s
+        #: Run each unit under a collector; ``trace=False`` collects
+        #: metrics only.
         self.collect_obs = collect_obs
+        self.trace = trace
         if start_method is None:
             # fork keeps dynamically registered experiments (test stubs,
             # notebook one-offs) visible in workers; fall back where the
@@ -177,68 +229,36 @@ class CampaignExecutor:
     # ------------------------------------------------------------------
     def run_serial(
         self,
-        tasks: typing.Sequence[TaskSpec],
+        units: typing.Sequence[typing.Sequence[TaskSpec]],
         telemetry: TelemetryWriter,
-    ) -> typing.List[TaskResult]:
+    ) -> typing.List[typing.List[TaskResult]]:
         """Execute in order, in-process — the reference the parallel
         path must reproduce bit-for-bit (same retry policy, no
-        timeout enforcement: there is no worker to reclaim)."""
+        timeout enforcement: there is no worker to reclaim).  Returns
+        each unit's results, in unit order."""
         self.retries = 0
         results = []
-        for spec in tasks:
+        for unit in units:
             attempt = 1
             while True:
-                telemetry.emit(
-                    "task_start",
-                    task=spec.task_id,
-                    experiment=spec.experiment,
-                    seed=spec.seed,
-                    attempt=attempt,
-                )
+                _emit_starts(unit, attempt, telemetry)
                 started = time.perf_counter()
                 try:
-                    reply = _execute_in_worker(spec, self.collect_obs)
+                    reply = _execute_in_worker(unit, self.collect_obs, self.trace)
                 except Exception as exc:  # noqa: BLE001 - task code is arbitrary
                     reason = f"{type(exc).__name__}: {exc}"
                     if attempt <= self.max_retries:
                         backoff = self._backoff(attempt)
-                        telemetry.emit(
-                            "task_retry",
-                            task=spec.task_id,
-                            reason=reason,
-                            attempt=attempt,
-                            backoff_s=backoff,
-                        )
-                        self.retries += 1
+                        self._emit_retries(unit, reason, attempt, backoff, telemetry)
                         time.sleep(backoff)
                         attempt += 1
                         continue
-                    telemetry.emit(
-                        "task_fail", task=spec.task_id, reason=reason, attempts=attempt
-                    )
+                    wall = (time.perf_counter() - started) / len(unit)
                     results.append(
-                        TaskResult(
-                            spec, "failed", error=reason, attempts=attempt,
-                            wall_time_s=time.perf_counter() - started,
-                        )
+                        self._failures(unit, reason, attempt, telemetry, wall)
                     )
                     break
-                wall = reply.wall_time_s
-                telemetry.emit(
-                    "task_end",
-                    task=spec.task_id,
-                    status="ok",
-                    wall_time_s=round(wall, 6),
-                    worker_pid=os.getpid(),
-                    attempt=attempt,
-                )
-                results.append(
-                    TaskResult(
-                        spec, "ok", value=reply.result, attempts=attempt,
-                        wall_time_s=wall, worker_pid=os.getpid(),
-                        metrics=reply.metrics,
-                    )
-                )
+                results.append(_unit_results(unit, reply, attempt, telemetry))
                 break
         return results
 
@@ -247,18 +267,20 @@ class CampaignExecutor:
     # ------------------------------------------------------------------
     def run(
         self,
-        tasks: typing.Sequence[TaskSpec],
+        units: typing.Sequence[typing.Sequence[TaskSpec]],
         telemetry: TelemetryWriter,
-    ) -> typing.List[TaskResult]:
+    ) -> typing.List[typing.List[TaskResult]]:
+        """Execute over the pool; returns each unit's results, in unit
+        order."""
         self.retries = 0
         pending: typing.Deque[_Attempt] = collections.deque(
-            _Attempt(index, spec) for index, spec in enumerate(tasks)
+            _Attempt(index, unit) for index, unit in enumerate(units)
         )
         inflight: typing.Dict[typing.Any, typing.Tuple[_Attempt, float]] = {}
-        results: typing.Dict[int, TaskResult] = {}
+        results: typing.Dict[int, typing.List[TaskResult]] = {}
         pool = self._new_pool()
         try:
-            while len(results) < len(tasks):
+            while len(results) < len(units):
                 now = time.monotonic()
                 if not self._submit_ready(pool, pending, inflight, telemetry, now):
                     # The pool broke while submitting; drain whatever was
@@ -324,19 +346,20 @@ class CampaignExecutor:
                         elif future.done():
                             self._collect(future, attempt, results, pending, telemetry)
                         else:
-                            telemetry.emit(
-                                "task_retry",
-                                task=attempt.spec.task_id,
-                                reason="requeued: pool reset by a timed-out neighbour",
-                                attempt=attempt.attempt,
-                                backoff_s=0.0,
-                            )
+                            for spec in attempt.unit:
+                                telemetry.emit(
+                                    "task_retry",
+                                    task=spec.task_id,
+                                    reason="requeued: pool reset by a timed-out neighbour",
+                                    attempt=attempt.attempt,
+                                    backoff_s=0.0,
+                                )
                             pending.append(attempt)
                     self._terminate_pool(pool)
                     pool = self._new_pool()
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
-        return [results[index] for index in range(len(tasks))]
+        return [results[index] for index in range(len(units))]
 
     # ------------------------------------------------------------------
     # Internals
@@ -356,18 +379,14 @@ class CampaignExecutor:
                 blocked.append(attempt)
                 continue
             try:
-                future = pool.submit(_execute_in_worker, attempt.spec, self.collect_obs)
+                future = pool.submit(
+                    _execute_in_worker, attempt.unit, self.collect_obs, self.trace
+                )
             except Exception:  # BrokenProcessPool or shutdown race
                 pending.appendleft(attempt)
                 healthy = False
                 break
-            telemetry.emit(
-                "task_start",
-                task=attempt.spec.task_id,
-                experiment=attempt.spec.experiment,
-                seed=attempt.spec.seed,
-                attempt=attempt.attempt,
-            )
+            _emit_starts(attempt.unit, attempt.attempt, telemetry)
             inflight[future] = (attempt, deadline)
         pending.extend(blocked)
         return healthy
@@ -387,49 +406,50 @@ class CampaignExecutor:
                 attempt, f"{type(exc).__name__}: {exc}", results, pending, telemetry
             )
             return False
-        telemetry.emit(
-            "task_end",
-            task=attempt.spec.task_id,
-            status="ok",
-            wall_time_s=round(reply.wall_time_s, 6),
-            worker_pid=reply.worker_pid,
-            attempt=attempt.attempt,
-        )
-        results[attempt.index] = TaskResult(
-            attempt.spec,
-            "ok",
-            value=reply.result,
-            attempts=attempt.attempt,
-            wall_time_s=reply.wall_time_s,
-            worker_pid=reply.worker_pid,
-            metrics=reply.metrics,
+        results[attempt.index] = _unit_results(
+            attempt.unit, reply, attempt.attempt, telemetry
         )
         return False
 
     def _handle_failure(self, attempt, reason, results, pending, telemetry) -> None:
         if attempt.attempt <= self.max_retries:
             backoff = self._backoff(attempt.attempt)
-            telemetry.emit(
-                "task_retry",
-                task=attempt.spec.task_id,
-                reason=reason,
-                attempt=attempt.attempt,
-                backoff_s=backoff,
-            )
-            self.retries += 1
+            self._emit_retries(attempt.unit, reason, attempt.attempt, backoff, telemetry)
             attempt.attempt += 1
             attempt.not_before = time.monotonic() + backoff
             pending.append(attempt)
             return
-        telemetry.emit(
-            "task_fail",
-            task=attempt.spec.task_id,
-            reason=reason,
-            attempts=attempt.attempt,
+        results[attempt.index] = self._failures(
+            attempt.unit, reason, attempt.attempt, telemetry
         )
-        results[attempt.index] = TaskResult(
-            attempt.spec, "failed", error=reason, attempts=attempt.attempt
-        )
+
+    def _emit_retries(self, unit, reason, attempt, backoff, telemetry) -> None:
+        """One ``task_retry`` per task of a unit about to run again."""
+        for spec in unit:
+            telemetry.emit(
+                "task_retry",
+                task=spec.task_id,
+                reason=reason,
+                attempt=attempt,
+                backoff_s=backoff,
+            )
+        self.retries += len(unit)
+
+    @staticmethod
+    def _failures(unit, reason, attempts, telemetry, wall_time_s=0.0) -> list:
+        """One ``task_fail`` and one failed :class:`TaskResult` per task."""
+        results = []
+        for spec in unit:
+            telemetry.emit(
+                "task_fail", task=spec.task_id, reason=reason, attempts=attempts
+            )
+            results.append(
+                TaskResult(
+                    spec, "failed", error=reason, attempts=attempts,
+                    wall_time_s=wall_time_s,
+                )
+            )
+        return results
 
     def _backoff(self, attempt: int) -> float:
         return self.backoff_s * (2 ** (attempt - 1))

@@ -110,12 +110,59 @@ class TaskSpec:
 
     def execute(self):
         """Run the task in the current process (the serial path)."""
-        kwargs = self.kwargs_dict
-        if self.seed is not None:
-            kwargs["seed"] = self.seed
+        kwargs = self._runner_kwargs()
         if self.runner is not None:
             return self.runner(**kwargs)
         return get_experiment(self.experiment).run(**kwargs)
+
+    def _runner_kwargs(self) -> typing.Dict[str, typing.Any]:
+        kwargs = self.kwargs_dict
+        if self.seed is not None:
+            kwargs["seed"] = self.seed
+        return kwargs
+
+
+def _arguments(task: TaskSpec) -> dict:
+    return get_experiment(task.experiment).arguments(**task._runner_kwargs())
+
+
+def unit_key(task: TaskSpec) -> typing.Optional[tuple]:
+    """The simulation ``task`` shares with other tasks, or ``None``.
+
+    A registry experiment may declare a unit key and runner
+    (:class:`~repro.measure.experiment.ExperimentSpec`); tasks with the
+    same unit runner and key form one unit.  A task that carries its
+    own ``runner`` is never looked up.
+    """
+    if task.runner is not None:
+        return None
+    try:
+        experiment = get_experiment(task.experiment)
+        if experiment.unit_key is None:
+            return None
+        return experiment.unit_runner, experiment.unit_key(_arguments(task))
+    except (KeyError, TypeError):
+        return None  # the task fails on its own when it runs
+
+
+def group_units(tasks: typing.Sequence[TaskSpec]) -> typing.List[typing.List[int]]:
+    """Positions of ``tasks`` grouped into units, ordered by each unit's
+    first task: tasks of one :func:`unit_key` form one unit, and every
+    other task is a unit of its own."""
+    units: typing.Dict[typing.Hashable, typing.List[int]] = {}
+    for position, task in enumerate(tasks):
+        key = unit_key(task)
+        units.setdefault(position if key is None else key, []).append(position)
+    return list(units.values())
+
+
+def execute_unit(tasks: typing.Sequence[TaskSpec]) -> list:
+    """Run one unit of :func:`group_units` in the current process;
+    returns its values in task order."""
+    if len(tasks) == 1:
+        return [tasks[0].execute()]
+    unit_runner = get_experiment(tasks[0].experiment).unit_runner
+    return unit_runner([(task.experiment, _arguments(task)) for task in tasks])
 
 
 def campaign_id_for(tasks: typing.Sequence[TaskSpec]) -> str:

@@ -17,6 +17,7 @@ import typing
 
 from ..net.http import HttpsServer
 from ..net.node import Host
+from .forwarding import _pose_from_update
 from .rooms import MemberBinding, RoomRegistry
 
 CLOCK_SYNC_RESPONSE_BYTES = 220
@@ -101,8 +102,6 @@ class ControlService:
         room = self.rooms.room(room_id)
         sender = room.members.get(user_id)
         if sender is not None and update is not None and update.position is not None:
-            from .forwarding import _pose_from_update
-
             sender.pose = _pose_from_update(update)
             sender.pose_updated_at = self.sim.now
         room_size = len(room)

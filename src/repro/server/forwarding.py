@@ -21,6 +21,7 @@ from __future__ import annotations
 import typing
 
 from ..avatar.codec import AvatarUpdate
+from ..avatar.pose import Pose, Vec3
 from ..obs.context import obs_of
 from ..net.address import Endpoint
 from ..net.node import Host
@@ -213,8 +214,5 @@ class AvatarDataServer:
             )
 
 
-def _pose_from_update(update: AvatarUpdate):
-    from ..avatar.pose import Pose, Vec3
-
-    pose = Pose(position=Vec3(*update.position), yaw_deg=update.yaw_deg)
-    return pose
+def _pose_from_update(update: AvatarUpdate) -> Pose:
+    return Pose(position=Vec3(*update.position), yaw_deg=update.yaw_deg)

@@ -18,12 +18,15 @@ dominate it.
 Observability hangs off the kernel too: ``sim.obs`` is an
 :class:`~repro.obs.Observability` bundle (its registry and tracer are
 what every instrumented layer writes into) — full, metrics-only
-(``trace=False``), or the shared no-op ``NULL_OBS``.  Only a full bundle
-sets ``observe_kernel``: the kernel then reports event dispatch counts,
-heap depth, and a per-callback wall-time profile — the first place to
-look when a campaign task is slow.  Either way :meth:`Simulator.run` is
-one loop that picks the profiled or the plain dispatch once, so an
-observed run dispatches exactly what an unobserved one does.
+(``trace=False``), or the shared no-op ``NULL_OBS``.  Every live
+registry gets the kernel's dispatch and cancellation counters, added
+once per :meth:`Simulator.run` / :meth:`Simulator.step` call, and its
+heap-depth and clock gauges.  Only a full bundle sets
+``observe_kernel``: the kernel then also keeps a per-callback wall-time
+profile — the first place to look when a campaign task is slow.  Either
+way :meth:`Simulator.run` is one loop that picks the profiled or the
+plain dispatch once, so an observed run dispatches exactly what an
+unobserved one does.
 """
 
 from __future__ import annotations
@@ -76,20 +79,21 @@ class Simulator:
             obs = observability_for_new_simulator()
         self.obs = obs
         obs.bind(self)
+        registry = obs.registry
+        #: Added to once per run()/step() call; no-ops on NULL_OBS.
+        self._events_counter = registry.counter("sim.events_dispatched")
+        self._cancelled_counter = registry.counter("sim.events_cancelled")
+        registry.gauge("sim.heap_depth", fn=self.pending_events)
+        registry.gauge("sim.now", fn=lambda: self._now)
         #: Cached flag so the unprofiled path is one local check.
         #: Metrics-only bundles keep layer instruments live but opt out
         #: of per-event kernel profiling via ``observe_kernel``.
         self._obs_enabled = obs.observe_kernel
         if self._obs_enabled:
-            registry = obs.registry
             self._registry = registry
-            self._events_counter = registry.counter("sim.events_dispatched")
-            self._cancelled_counter = registry.counter("sim.events_cancelled")
             #: ``sim.callback_wall_s`` histograms by callback label, so a
             #: dispatch skips the registry's label sort and key build.
             self._callback_wall: typing.Dict[str, typing.Any] = {}
-            registry.gauge("sim.heap_depth", fn=self.pending_events)
-            registry.gauge("sim.now", fn=lambda: self._now)
 
     @property
     def now(self) -> float:
@@ -198,25 +202,30 @@ class Simulator:
     def step(self) -> bool:
         """Run the next scheduled event; return False when none remain."""
         heap = self._heap
-        while heap:
-            entry = heapq.heappop(heap)
-            handle = entry[5]
-            if handle is not None:
-                if handle.cancelled:
-                    self._cancelled_in_heap -= 1
-                    if self._obs_enabled:
-                        self._cancelled_counter.inc()
-                    continue
-                # Fired: a later cancel() must not count against the heap.
-                handle._sim = None
-            self._now = entry[0]
-            self.event_count += 1
-            if self._obs_enabled:
-                self._dispatch_observed(entry)
-            else:
-                entry[3](*entry[4])
-            return True
-        return False
+        events = cancelled = 0
+        try:
+            while heap:
+                entry = heapq.heappop(heap)
+                handle = entry[5]
+                if handle is not None:
+                    if handle.cancelled:
+                        self._cancelled_in_heap -= 1
+                        cancelled += 1
+                        continue
+                    # Fired: a later cancel() must not count against the heap.
+                    handle._sim = None
+                self._now = entry[0]
+                self.event_count += 1
+                events = 1
+                if self._obs_enabled:
+                    self._dispatch_observed(entry)
+                else:
+                    entry[3](*entry[4])
+                return True
+            return False
+        finally:
+            self._events_counter.inc(events)
+            self._cancelled_counter.inc(cancelled)
 
     def _dispatch_observed(self, entry: tuple) -> None:
         """Dispatch one event under the tracer and wall-time profile.
@@ -226,7 +235,6 @@ class Simulator:
         """
         callback = entry[3]
         label = getattr(callback, "__qualname__", None) or repr(callback)
-        self._events_counter.inc()
         tracer = self.obs.tracer
         if tracer.full():
             tracer.drop("span")
@@ -260,7 +268,7 @@ class Simulator:
         observed = self._obs_enabled
         dispatch = self._dispatch_observed
         limit = math.inf if until is None else until
-        events = 0
+        events = cancelled = 0
         try:
             while heap and heap[0][0] <= limit:
                 entry = heappop(heap)
@@ -268,8 +276,7 @@ class Simulator:
                 if handle is not None:
                     if handle.cancelled:
                         self._cancelled_in_heap -= 1
-                        if observed:
-                            self._cancelled_counter.inc()
+                        cancelled += 1
                         continue
                     handle._sim = None
                 self._now = entry[0]
@@ -281,6 +288,8 @@ class Simulator:
         finally:
             # Counted even if a callback raises.
             self.event_count += events
+            self._events_counter.inc(events)
+            self._cancelled_counter.inc(cancelled)
         if until is not None:
             self._now = max(self._now, until)
         return self._now

@@ -86,3 +86,20 @@ def test_the_serve_daemon_builds_the_experiment_registry_before_it_answers(tmp_p
         "print(json.dumps([built_before, built_after]))\n"
     )
     assert out == [False, True]
+
+
+def test_the_relay_path_imports_nothing_per_update():
+    """An import statement in a per-update function runs on every
+    relayed avatar update."""
+    import dis
+
+    from repro.server.control import ControlService
+    from repro.server.forwarding import AvatarDataServer, _pose_from_update
+
+    for function in (
+        _pose_from_update,
+        AvatarDataServer.ingest_update,
+        ControlService.relay_update,
+    ):
+        opnames = {instruction.opname for instruction in dis.get_instructions(function)}
+        assert "IMPORT_NAME" not in opnames, function.__qualname__

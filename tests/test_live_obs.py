@@ -15,7 +15,7 @@ import pytest
 
 from repro.measure.experiment import register_experiment, unregister_experiment
 from repro.obs.live import LiveObsServer, active_live_server, live_server
-from repro.runner import CampaignPlan, run_campaign
+from repro.runner import CampaignPlan, run_campaign, task_dump_filename
 from repro.simcore import Simulator
 
 from tests.conftest import keep_alive_seconds
@@ -97,6 +97,30 @@ def test_campaign_feeds_live_server(tmp_path):
         # Cross-worker aggregate: 3 tasks x 5 events each.
         assert "sim_events_dispatched_total 15" in metrics
         assert "repro_campaign_tasks_done 3" in metrics
+
+
+def test_a_live_plane_alone_collects_metrics_only(tmp_path):
+    """A live plane folds the kernel counters without a trace or the
+    callback profile; ``metrics_dir`` still asks for full collection."""
+    plan = CampaignPlan.from_matrix(["live-tiny"], seeds=range(2))
+    with live_server(port=0) as server:
+        campaign = run_campaign(plan, parallel=False, cache_dir=None)
+        metrics = _get(server.url + "/metrics")
+    assert "sim_events_dispatched_total 10" in metrics
+    assert "sim_callback_wall_s" not in metrics
+    assert [r.metrics["trace"]["events"] for r in campaign] == [[], []]
+
+    metrics_dir = str(tmp_path / "metrics")
+    with live_server(port=0) as server:
+        campaign = run_campaign(
+            plan, parallel=False, cache_dir=None, metrics_dir=metrics_dir
+        )
+        metrics = _get(server.url + "/metrics")
+    assert "sim_callback_wall_s" in metrics
+    for result in campaign:
+        path = os.path.join(metrics_dir, task_dump_filename(result.spec.task_id))
+        with open(path) as handle:
+            assert json.load(handle)["trace"]["events"]
 
 
 def test_sse_tail_with_limit():

@@ -95,6 +95,27 @@ def test_kernel_counts_cancelled_events():
     assert registry.value("sim.events_cancelled") == 1
 
 
+def test_metrics_only_collection_keeps_the_kernel_counters():
+    """``collect(trace=False)``: the kernel's counters and gauges, added
+    per run()/step() call, without the trace or the callback profile."""
+    with collect(trace=False) as collector:
+        sim = Simulator(seed=1)
+        for index in range(4):
+            sim.schedule(0.1 * (index + 1), lambda: None)
+        sim.schedule(0.05, lambda: None).cancel()
+        assert sim.step() is True
+        sim.run(until=0.35)
+        assert sim.step() is True
+    (obs,) = collector.observabilities
+    registry = obs.registry
+    assert registry.value("sim.events_dispatched") == 4
+    assert registry.value("sim.events_cancelled") == 1
+    assert registry.value("sim.heap_depth") == 0
+    assert registry.value("sim.now") == pytest.approx(0.4)
+    assert registry.histograms() == []
+    assert obs.dump()["trace"]["events"] == []
+
+
 def test_kernel_dispatch_spans_and_profile():
     with collect() as collector:
         sim = Simulator(seed=1)

@@ -56,6 +56,31 @@ def hanging_stub(seed=0, hang_s=30.0):
     return seed
 
 
+def unit_cell_stub(state_dir, seed=0, fail_times=1):
+    """One member of a shared unit, as it reads alone."""
+    return {"seed": seed}
+
+
+def unit_key_stub(arguments):
+    return arguments["state_dir"], arguments["seed"]
+
+
+def flaky_unit_runner(members):
+    """Fails the first ``fail_times`` attempts of a unit, then returns
+    each member's value and the unit's size."""
+    arguments = members[0][1]
+    marker = os.path.join(arguments["state_dir"], "unit.attempts")
+    attempts = 1
+    if os.path.exists(marker):
+        with open(marker) as handle:
+            attempts = int(handle.read()) + 1
+    with open(marker, "w") as handle:
+        handle.write(str(attempts))
+    if attempts <= arguments["fail_times"]:
+        raise RuntimeError(f"unit failure {attempts}")
+    return [dict(unit_cell_stub(**a), unit_size=len(members)) for _, a in members]
+
+
 STUBS = {
     "stub-sleep": sleepy_stub,
     "stub-flaky": flaky_stub,
@@ -316,6 +341,50 @@ def test_per_task_timeout_reclaims_the_worker():
     assert all(r.ok for r in campaign.task_results[1:])
     fails = telemetry.select("task_fail")
     assert any("timeout" in event["reason"] for event in fails)
+
+
+@pytest.fixture
+def _unit_stubs():
+    from repro.measure.experiment import ExperimentSpec, registry
+
+    names = ("stub-unit-a", "stub-unit-b")
+    for name in names:
+        registry()[name] = ExperimentSpec(
+            name, "test", "", unit_cell_stub,
+            unit_key=unit_key_stub, unit_runner=flaky_unit_runner,
+        )
+    yield names
+    for name in names:
+        unregister_experiment(name)
+
+
+@pytest.mark.parametrize("parallel", [False, True], ids=["serial", "workers2"])
+def test_a_unit_is_retried_and_failed_as_one(_unit_stubs, tmp_path, parallel):
+    def unit(state_dir, fail_times):
+        os.makedirs(state_dir)
+        return [
+            TaskSpec.create(name, {"state_dir": state_dir, "fail_times": fail_times}, seed=0)
+            for name in _unit_stubs
+        ]
+
+    options = dict(
+        parallel=parallel, max_workers=2, max_retries=1, backoff_s=0.01, cache_dir=None
+    )
+    tasks = unit(str(tmp_path / "flaky"), fail_times=1)
+    telemetry = TelemetryWriter()
+    campaign = run_campaign(tasks, telemetry=telemetry, **options)
+    assert campaign.ok
+    assert campaign.values() == [{"seed": 0, "unit_size": 2}] * 2
+    assert [r.attempts for r in campaign] == [2, 2]
+    assert sorted(e["task"] for e in telemetry.select("task_retry")) == sorted(
+        task.task_id for task in tasks
+    )
+    assert campaign.summary.retries == 2
+    assert telemetry.count("task_start") == 4
+
+    campaign = run_campaign(unit(str(tmp_path / "broken"), fail_times=5), **options)
+    assert [r.status for r in campaign] == ["failed", "failed"]
+    assert all("unit failure 2" in r.error for r in campaign)
 
 
 # ----------------------------------------------------------------------
