@@ -62,6 +62,8 @@ class Link:
         "down_dropped_packets",
         "_obs",
         "_obs_enabled",
+        "_hops",
+        "_flow_bytes",
         "_dst_receive",
         "_dst_terminates",
     )
@@ -120,6 +122,12 @@ class Link:
         self.down_dropped_packets = 0
         self._obs = obs_of(sim)
         self._obs_enabled = self._obs.enabled
+        #: The tracer hop records go to, or ``None`` under a bundle that
+        #: keeps no trace (its null tracer would discard them).
+        self._hops = self._obs.tracer if self._obs.tracer.enabled else None
+        #: ``net.flow.bytes`` counters by 5-tuple, resolved on the first
+        #: delivery of each flow.
+        self._flow_bytes: dict = {}
         self._dst_receive = dst.receive
         #: Hosts terminate traffic (they expose ``addresses``); routers
         #: and APs forward it on.
@@ -164,10 +172,8 @@ class Link:
         if not self.up:
             self.dropped_packets += 1
             self.down_dropped_packets += 1
-            if self._obs_enabled:
-                self._obs.tracer.packet_hop(
-                    "drop", packet, self.name, reason="link-down"
-                )
+            if self._hops is not None:
+                self._hops.packet_hop("drop", packet, self.name, reason="link-down")
             return
         if self.qdisc is not None and self.qdisc.active:
             self.qdisc.process(packet, self._enqueue)
@@ -197,13 +203,11 @@ class Link:
         size = packet.size
         if self._backlog_bytes + size > self.queue_bytes:
             self.dropped_packets += 1
-            if self._obs_enabled:
-                self._obs.tracer.packet_hop(
-                    "drop", packet, self.name, reason="queue-full"
-                )
+            if self._hops is not None:
+                self._hops.packet_hop("drop", packet, self.name, reason="queue-full")
             return
-        if self._obs_enabled:
-            self._obs.tracer.packet_hop(
+        if self._hops is not None:
+            self._hops.packet_hop(
                 "enqueue", packet, self.name, backlog=self._backlog_bytes
             )
         tx_time = self._tx_cache.get(size)
@@ -236,14 +240,19 @@ class Link:
     def _deliver(self, packet: Packet) -> None:
         self.delivered_packets += 1
         self.delivered_bytes += packet.size
-        if self._obs_enabled:
-            self._obs.tracer.packet_hop("deliver", packet, self.name)
-            if self._dst_terminates:
-                # Bytes by 5-tuple, counted once at the terminating
-                # host rather than on every transit link.
-                self._obs.registry.counter(
+        if self._hops is not None:
+            self._hops.packet_hop("deliver", packet, self.name)
+        if self._obs_enabled and self._dst_terminates:
+            # Bytes by 5-tuple, counted once at the terminating host
+            # rather than on every transit link.
+            src, dst = packet.src, packet.dst
+            flow = (src.ip.value, src.port, dst.ip.value, dst.port, packet.protocol)
+            counter = self._flow_bytes.get(flow)
+            if counter is None:
+                counter = self._flow_bytes[flow] = self._obs.registry.counter(
                     "net.flow.bytes", flow=packet.flow_label
-                ).inc(packet.size)
+                )
+            counter.inc(packet.size)
         self._dst_receive(packet, self)
 
     @property

@@ -332,7 +332,13 @@ class TcpConnection:
                 self._fast_retransmit()
 
     def _retire_segments(self, ack_no: int) -> None:
-        done = [seq for seq in self._segments if seq + self._segments[seq]["length"] <= ack_no]
+        # Segments enter at ``snd_nxt``, in ascending and contiguous
+        # sequence order, so the acknowledged ones are a prefix.
+        done = []
+        for seq, info in self._segments.items():
+            if seq + info["length"] > ack_no:
+                break
+            done.append(seq)
         for seq in done:
             info = self._segments.pop(seq)
             if not info["retransmitted"]:

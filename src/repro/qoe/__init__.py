@@ -45,10 +45,9 @@ _EXPORTS = {
     "build_qoe_plan": ".campaign",
     "run_qoe_campaign": ".campaign",
     "run_qoe_cell": ".campaign",
-    "RoomQoe": ".cohort",
     "cohort_score": ".cohort",
+    "cohort_weights": ".cohort",
     "mean_mos_per_bin": ".cohort",
-    "room_qoe": ".cohort",
 }
 
 __all__ = sorted(_EXPORTS)

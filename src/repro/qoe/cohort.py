@@ -15,7 +15,6 @@ occupancy function.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import typing
 
@@ -63,50 +62,18 @@ def cohort_score(
     return DEFAULT_MODEL.score(signals, phase)
 
 
-@dataclasses.dataclass(frozen=True)
-class RoomQoe:
-    """Per-bin cohort QoE aggregates for one fluid room."""
+def cohort_weights(platform: str, occupancy: float) -> typing.Tuple[float, float]:
+    """``(MOS-weighted users, below-threshold users)`` at ``occupancy``.
 
-    #: Integral of occupancy * score per bin (MOS-weighted user-seconds).
-    mos_user_seconds_per_bin: typing.Tuple[float, ...]
-    #: Integral of occupancy per bin (user-seconds).
-    user_seconds_per_bin: typing.Tuple[float, ...]
-    #: User-seconds spent at occupancies scoring below the threshold.
-    below_threshold_user_s: float
-
-
-def room_qoe(
-    result,
-    duration_s: float,
-    bin_s: float,
-    threshold: float = DEGRADED_THRESHOLD,
-) -> RoomQoe:
-    """Score one :class:`~repro.scale.fluid.FluidRoomResult`'s cohort.
-
-    The room's loss fraction (dropped over offered bits at the access
-    link) applies uniformly across its occupancy segments — the fluid
-    queue has no finer time structure to offer.
+    The segment values whose integrals over a room's occupancy step
+    function are its MOS-weighted user-seconds and the user-seconds it
+    spends at occupancies scoring below :data:`DEGRADED_THRESHOLD`.
+    Sharded fluid rooms never shape the access link, so they score with
+    no motion loss.
     """
-    occupancy = result.occupancy
-    offered = result.viewer_down_bps.integral() + result.dropped_bits
-    loss = result.dropped_bits / offered if offered > 0 else 0.0
-
-    def score(k: float) -> float:
-        return cohort_score(result.platform, int(round(k)), loss)
-
-    weighted = occupancy.map(lambda k: k * score(k))
-    below = occupancy.map(
-        lambda k: k if (k > 0 and score(k) < threshold) else 0.0
-    )
-    return RoomQoe(
-        mos_user_seconds_per_bin=tuple(
-            float(v) for v in weighted.bins(0.0, duration_s, bin_s)
-        ),
-        user_seconds_per_bin=tuple(
-            float(v) for v in occupancy.bins(0.0, duration_s, bin_s)
-        ),
-        below_threshold_user_s=float(below.integral()),
-    )
+    score = cohort_score(platform, int(round(occupancy)))
+    below = occupancy if (occupancy > 0 and score < DEGRADED_THRESHOLD) else 0.0
+    return occupancy * score, below
 
 
 def mean_mos_per_bin(

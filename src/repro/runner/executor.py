@@ -357,8 +357,13 @@ class CampaignExecutor:
                             pending.append(attempt)
                     self._terminate_pool(pool)
                     pool = self._new_pool()
-        finally:
+        except BaseException:
             pool.shutdown(wait=False, cancel_futures=True)
+            raise
+        # Every unit has returned, so the workers are idle.  Waiting
+        # also joins the pool's manager thread, which would otherwise
+        # race interpreter exit for its wakeup pipe.
+        pool.shutdown(wait=True)
         return [results[index] for index in range(len(units))]
 
     # ------------------------------------------------------------------

@@ -23,7 +23,7 @@ import typing
 import numpy as np
 
 from ..capture.timeseries import ThroughputSeries
-from .aggregate import RoomModel, room_model
+from .aggregate import room_model
 
 
 class PiecewiseConstant:
@@ -75,15 +75,7 @@ class PiecewiseConstant:
         end: typing.Optional[float] = None,
     ) -> float:
         """The integral of the function over ``[start, end)``."""
-        overlaps = _overlaps(
-            self.times,
-            self.start if start is None else start,
-            self.end if end is None else end,
-        )
-        total = 0.0
-        for index, width in overlaps:
-            total += self.values[index] * width
-        return total
+        return float(integrate_rows(self.times, [self.values], start, end)[0])
 
     def map(self, fn: typing.Callable[[float], float]) -> "PiecewiseConstant":
         """A new function with ``fn`` applied to every segment value.
@@ -110,18 +102,7 @@ class PiecewiseConstant:
         Bin ``i`` is exactly ``integral(start + i * bin_s, ...)``: the
         same overlaps, summed in the same order from ``0.0``.
         """
-        if end <= start:
-            raise ValueError(f"end ({end}) must exceed start ({start})")
-        if not (math.isfinite(bin_s) and bin_s > 0):
-            raise ValueError(f"bin_s must be finite and positive, got {bin_s}")
-        values = self.values
-        totals = []
-        for overlaps in _overlap_table(tuple(self.times), start, end, bin_s):
-            total = 0.0
-            for index, width in overlaps:
-                total += values[index] * width
-            totals.append(total)
-        return np.array(totals, dtype=float)
+        return bin_rows(self.times, [self.values], start, end, bin_s)[0]
 
     def to_series(self, start: float, end: float, bin_s: float) -> ThroughputSeries:
         """Bin a bits-per-second function into a ThroughputSeries —
@@ -171,7 +152,7 @@ def _overlaps(
 def _overlap_table(
     times: typing.Tuple[float, ...], start: float, end: float, bin_s: float
 ) -> typing.Tuple[typing.Tuple[typing.Tuple[int, float], ...], ...]:
-    """Each bin's :func:`_overlaps` for :meth:`PiecewiseConstant.bins`.
+    """Each bin's :func:`_overlaps` for :func:`bin_rows`.
 
     Keyed by the breakpoints, not the values: every room of a scale
     scenario shares one churn grid (breakpoints at ``start + i *
@@ -185,6 +166,66 @@ def _overlap_table(
         lo = start + index * bin_s
         table.append(tuple(_overlaps(times, lo, min(end, lo + bin_s))))
     return tuple(table)
+
+
+def _overlap_sums(
+    columns: np.ndarray, overlaps: typing.Sequence[typing.Tuple[int, float]]
+) -> np.ndarray:
+    """``sum(columns[index] * width)`` over ``overlaps``, added from
+    ``0.0`` in overlap order, for every row at once.
+
+    ``columns[index]`` holds segment ``index``'s value of every row.
+    Element-wise float64 products and sums are the IEEE operations a
+    Python float loop performs, so each row's total is bit for bit the
+    one a per-function loop over the same overlaps makes.
+    """
+    total = np.zeros(columns.shape[1:])
+    for index, width in overlaps:
+        total += columns[index] * width
+    return total
+
+
+def integrate_rows(
+    times: typing.Sequence[float],
+    rows,
+    start: typing.Optional[float] = None,
+    end: typing.Optional[float] = None,
+) -> np.ndarray:
+    """Each row's integral over ``[start, end)`` (default: the whole
+    domain), for step functions sharing the breakpoints ``times``.
+
+    ``rows`` holds one function's segment values per row;
+    :meth:`PiecewiseConstant.integral` is the one-row case.
+    """
+    columns = np.asarray(rows, dtype=float).T
+    overlaps = _overlaps(
+        times,
+        times[0] if start is None else start,
+        times[-1] if end is None else end,
+    )
+    return _overlap_sums(columns, overlaps)
+
+
+def bin_rows(
+    times: typing.Sequence[float], rows, start: float, end: float, bin_s: float
+) -> np.ndarray:
+    """Per-bin integrals over ``[start, end)`` of step functions that
+    share the breakpoints ``times``, one row of bins per row of values.
+
+    ``rows`` holds one function's segment values per row;
+    :meth:`PiecewiseConstant.bins` is the one-row case.  Bin ``i`` of
+    a row is exactly that function's ``integral(start + i * bin_s,
+    ...)``: one :func:`_overlap_table` serves every row, and each bin
+    adds ``value x width`` from ``0.0`` in segment order.  The result
+    is a ``(rows, bins)`` view of a bin-major array.
+    """
+    if end <= start:
+        raise ValueError(f"end ({end}) must exceed start ({start})")
+    if not (math.isfinite(bin_s) and bin_s > 0):
+        raise ValueError(f"bin_s must be finite and positive, got {bin_s}")
+    columns = np.asarray(rows, dtype=float).T
+    table = _overlap_table(tuple(times), start, end, bin_s)
+    return np.array([_overlap_sums(columns, overlaps) for overlaps in table]).T
 
 
 @dataclasses.dataclass
@@ -355,6 +396,27 @@ def churn_occupancy(
 _room_model = functools.lru_cache(maxsize=1024)(room_model)
 
 
+def occupancy_rates_bps(
+    platform,
+    occupancy: float,
+    architecture: str,
+    viewport_factor: typing.Union[float, str, None],
+) -> typing.Tuple[float, float]:
+    """``(server egress, one viewer's downlink)`` in wire bits/s for a
+    room holding ``occupancy`` users: the occupancy -> rate bridge a
+    room's step functions and a shard's rows both map through."""
+    model = _room_model(
+        platform,
+        max(1, int(round(occupancy))),
+        architecture,
+        viewport_factor=viewport_factor,
+    )
+    return (
+        model.server_egress_bytes_per_s * 8.0,
+        model.user_down_wire_bytes_per_s() * 8.0,
+    )
+
+
 @dataclasses.dataclass
 class FluidRoomResult:
     """One room simulated at fluid fidelity."""
@@ -409,25 +471,19 @@ def simulate_room(
         else:
             occupancy = PiecewiseConstant.constant(float(n_users), 0.0, duration_s)
 
-    def model_for(count: float) -> RoomModel:
-        return _room_model(
-            platform,
-            max(1, int(round(count))),
-            architecture,
-            viewport_factor=viewport_factor,
-        )
-
-    egress = occupancy.map(lambda k: model_for(k).server_egress_bytes_per_s * 8.0)
-    viewer_down = occupancy.map(
-        lambda k: model_for(k).user_down_wire_bytes_per_s() * 8.0
-    )
+    rates = [
+        occupancy_rates_bps(platform, k, architecture, viewport_factor)
+        for k in occupancy.values
+    ]
+    egress = PiecewiseConstant(occupancy.times, [rate[0] for rate in rates])
+    viewer_down = PiecewiseConstant(occupancy.times, [rate[1] for rate in rates])
     dropped_bits = 0.0
     if access_capacity_bps is not None:
         shaped = fluid_queue(viewer_down, access_capacity_bps)
         dropped_bits = shaped.dropped_units
         viewer_down = shaped.served
     return FluidRoomResult(
-        platform=model_for(occupancy.values[0]).platform,
+        platform=_room_model(platform, 1, architecture).platform,  # profile name
         architecture=architecture,
         occupancy=occupancy,
         egress_bps=egress,

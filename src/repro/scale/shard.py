@@ -23,10 +23,16 @@ import numpy as np
 from ..capture.timeseries import ThroughputSeries
 from ..obs.context import active_collector, obs_of  # noqa: F401  (obs_of re-exported for shard workers)
 from ..platforms.profiles import get_profile
-from ..qoe.cohort import mean_mos_per_bin, room_qoe
+from ..qoe.cohort import cohort_weights, mean_mos_per_bin
 from ..simcore import derive_seed
 from .aggregate import ARCHITECTURES
-from .fluid import simulate_room
+from .fluid import (
+    PiecewiseConstant,
+    bin_rows,
+    churn_occupancy,
+    integrate_rows,
+    occupancy_rates_bps,
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -70,6 +76,13 @@ def simulate_shard(
     Module-level and dict-in/dict-out so the campaign executor can ship
     it to a worker by reference.  Room RNGs depend only on ``seed`` and
     the absolute room index (never on the shard boundaries).
+
+    The rooms run as one array pass: a ``(rooms, segments)`` occupancy
+    matrix on the churn grid every room shares, each distinct occupancy
+    mapped once to its rates and cohort weights, every row binned
+    through one overlap table, and rows added in room order.  Each
+    room's numbers are the IEEE operations its own step functions would
+    perform, so the totals are bit for bit a per-room loop's.
     """
     import random
 
@@ -79,64 +92,84 @@ def simulate_shard(
         scenario = dict(scenario)
     if isinstance(scenario, dict):
         scenario = ScaleScenario(**scenario)
+    if n_rooms < 1:
+        raise ValueError("n_rooms must be >= 1")
     started = time.perf_counter()
-    n_bins = int(math.ceil(scenario.duration_s / scenario.bin_s))
-    egress_bits = np.zeros(n_bins)
-    viewer_bits = np.zeros(n_bins)
+    duration_s = scenario.duration_s
+    if scenario.churn:
+        occupancies = [
+            churn_occupancy(
+                random.Random(derive_seed(seed, f"room:{room}")),
+                scenario.users_per_room,
+                duration_s,
+                churn_interval_s=scenario.churn_interval_s,
+                churn_probability=scenario.churn_probability,
+            )
+            for room in range(first_room, first_room + n_rooms)
+        ]
+    else:
+        constant = float(scenario.users_per_room)
+        occupancies = [PiecewiseConstant.constant(constant, 0.0, duration_s)] * n_rooms
+    # Churn breakpoints depend only on the horizon and the interval, so
+    # every room shares the first room's grid; a room that does not
+    # would need binning of its own.
+    grid = occupancies[0].times
+    for room, occupancy in enumerate(occupancies, first_room):
+        if occupancy.times != grid:
+            raise ValueError(f"room {room}'s churn grid differs from the shard's")
+    users = np.array([occupancy.values for occupancy in occupancies])
+    # Each distinct occupancy is looked up once; rows index into it.
+    levels, level_of = np.unique(users, return_inverse=True)
+    level_of = level_of.reshape(users.shape)
+    rates = np.array(
+        [
+            occupancy_rates_bps(
+                scenario.platform, k, scenario.architecture, scenario.viewport_factor
+            )
+            for k in levels.tolist()
+        ]
+    )[level_of]
+    weights = np.array(
+        [cohort_weights(scenario.platform, k) for k in levels.tolist()]
+    )[level_of]
+    egress, viewer = rates[..., 0], rates[..., 1]
+    mos_weighted, below = weights[..., 0], weights[..., 1]
+
+    def binned(rows: np.ndarray) -> np.ndarray:
+        return bin_rows(grid, rows, 0.0, duration_s, scenario.bin_s)
+
     # QoE accumulates in integer micro-user-seconds: int64 addition is
     # exact and associative, so the merged totals are byte-identical no
     # matter how rooms are grouped into shards (float bin values are
     # not: summation order changes the low bits).
-    mos_micro_us = np.zeros(n_bins, dtype=np.int64)
-    micro_us = np.zeros(n_bins, dtype=np.int64)
-    qoe_below_micro_us = 0
-    user_seconds = 0.0
-    peak_egress_bps = 0.0
-    peak_occupancy = 0
-    for room in range(first_room, first_room + n_rooms):
-        rng = (
-            random.Random(derive_seed(seed, f"room:{room}"))
-            if scenario.churn
-            else None
-        )
-        result = simulate_room(
-            scenario.platform,
-            scenario.users_per_room,
-            scenario.duration_s,
-            architecture=scenario.architecture,
-            rng=rng,
-            churn_interval_s=scenario.churn_interval_s,
-            churn_probability=scenario.churn_probability,
-            viewport_factor=scenario.viewport_factor,
-        )
-        egress_bits += result.egress_bps.bins(0.0, scenario.duration_s, scenario.bin_s)
-        viewer_bits += result.viewer_down_bps.bins(
-            0.0, scenario.duration_s, scenario.bin_s
-        )
-        user_seconds += result.user_seconds
-        peak_egress_bps = max(peak_egress_bps, result.peak_egress_bps)
-        peak_occupancy = max(peak_occupancy, int(max(result.occupancy.values)))
-        qoe = room_qoe(result, scenario.duration_s, scenario.bin_s)
-        mos_micro_us += np.rint(
-            np.asarray(qoe.mos_user_seconds_per_bin) * 1e6
-        ).astype(np.int64)
-        micro_us += np.rint(
-            np.asarray(qoe.user_seconds_per_bin) * 1e6
-        ).astype(np.int64)
-        qoe_below_micro_us += int(round(qoe.below_threshold_user_s * 1e6))
+    mos_micro_us = np.rint(binned(mos_weighted) * 1e6).astype(np.int64).sum(axis=0)
+    micro_us = np.rint(binned(users) * 1e6).astype(np.int64).sum(axis=0)
+    qoe_below_micro_us = sum(
+        int(round(x * 1e6)) for x in integrate_rows(grid, below).tolist()
+    )
     return {
         "first_room": first_room,
         "n_rooms": n_rooms,
-        "egress_bits_per_bin": egress_bits.tolist(),
-        "viewer_bits_per_bin": viewer_bits.tolist(),
+        "egress_bits_per_bin": _sum_in_room_order(binned(egress)).tolist(),
+        "viewer_bits_per_bin": _sum_in_room_order(binned(viewer)).tolist(),
         "mos_micro_user_seconds_per_bin": mos_micro_us.tolist(),
         "micro_user_seconds_per_bin": micro_us.tolist(),
         "qoe_below_micro_user_seconds": qoe_below_micro_us,
-        "user_seconds": user_seconds,
-        "peak_room_egress_bps": peak_egress_bps,
-        "peak_occupancy": peak_occupancy,
+        "user_seconds": float(_sum_in_room_order(integrate_rows(grid, users))),
+        "peak_room_egress_bps": max(0.0, float(egress.max())),
+        "peak_occupancy": int(users.max()),
         "wall_time_s": time.perf_counter() - started,
     }
+
+
+def _sum_in_room_order(rows: np.ndarray) -> np.ndarray:
+    """``0.0 + rows[0] + rows[1] + ...``, added left to right.
+
+    The order a per-room loop adds rooms in: ``np.sum`` pairs rows up
+    along a contiguous axis, which moves the low bits of float totals.
+    """
+    zero = np.zeros((1,) + rows.shape[1:])
+    return np.add.accumulate(np.concatenate([zero, rows]), axis=0)[-1]
 
 
 @dataclasses.dataclass

@@ -162,6 +162,7 @@ class AvatarDataServer:
             )
         if observing:
             self._fanout_hist.observe(fanout)
+        if self._obs.tracer.enabled:
             self._obs.tracer.emit(
                 "hop",
                 hop="server-forward",

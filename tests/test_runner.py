@@ -343,6 +343,25 @@ def test_per_task_timeout_reclaims_the_worker():
     assert any("timeout" in event["reason"] for event in fails)
 
 
+def test_a_parallel_run_leaves_no_pool_thread_behind():
+    """``run`` joins its pool's manager thread before it returns; one
+    still closing its wakeup pipe races interpreter exit."""
+    import threading
+
+    def managers():
+        return {
+            thread
+            for thread in threading.enumerate()
+            if type(thread).__name__ == "_ExecutorManagerThread"
+        }
+
+    before = managers()
+    tasks = [TaskSpec.create("stub-sleep", {"sleep_s": 0.0}, seed=s) for s in range(4)]
+    campaign = run_campaign(tasks, max_workers=2, cache_dir=None)
+    assert campaign.ok
+    assert not managers() - before
+
+
 @pytest.fixture
 def _unit_stubs():
     from repro.measure.experiment import ExperimentSpec, registry

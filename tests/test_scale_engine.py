@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.cli import main
+from repro.qoe import DEGRADED_THRESHOLD, cohort_score
 from repro.scale import (
     ARCHITECTURES,
     PiecewiseConstant,
@@ -26,6 +27,7 @@ from repro.scale import (
     simulate_room,
     simulate_shard,
 )
+from repro.simcore import derive_seed
 
 
 # ----------------------------------------------------------------------
@@ -398,6 +400,128 @@ def test_fluid_outputs_match_golden_digest():
     shaped = simulate_room("worlds", 15, 60.0, access_capacity_bps=peak * 0.5)
     digest.update(shaped.viewer_down_bps.bins(0.0, 60.0, 1.0).tobytes())
     assert digest.hexdigest() == FLUID_GOLDEN_DIGEST
+
+
+def _per_room_shard(scenario, first_room, n_rooms, seed):
+    """The per-room loop ``simulate_shard`` replaced: each room's own
+    step functions through ``simulate_room``, ``bins``/``integral`` and
+    ``cohort_score``, added into the shard's totals room by room."""
+    duration_s, bin_s = scenario.duration_s, scenario.bin_s
+    n_bins = int(math.ceil(duration_s / bin_s))
+    egress_bits = np.zeros(n_bins)
+    viewer_bits = np.zeros(n_bins)
+    mos_micro_us = np.zeros(n_bins, dtype=np.int64)
+    micro_us = np.zeros(n_bins, dtype=np.int64)
+    below_micro_us = 0
+    user_seconds = 0.0
+    peak_egress_bps = 0.0
+    peak_occupancy = 0
+    for room in range(first_room, first_room + n_rooms):
+        rng = (
+            random.Random(derive_seed(seed, f"room:{room}"))
+            if scenario.churn
+            else None
+        )
+        result = simulate_room(
+            scenario.platform,
+            scenario.users_per_room,
+            duration_s,
+            architecture=scenario.architecture,
+            rng=rng,
+            churn_interval_s=scenario.churn_interval_s,
+            churn_probability=scenario.churn_probability,
+            viewport_factor=scenario.viewport_factor,
+        )
+        egress_bits += result.egress_bps.bins(0.0, duration_s, bin_s)
+        viewer_bits += result.viewer_down_bps.bins(0.0, duration_s, bin_s)
+        user_seconds += result.user_seconds
+        peak_egress_bps = max(peak_egress_bps, result.peak_egress_bps)
+        peak_occupancy = max(peak_occupancy, int(max(result.occupancy.values)))
+        offered = result.viewer_down_bps.integral() + result.dropped_bits
+        loss = result.dropped_bits / offered if offered > 0 else 0.0
+
+        def score(k, platform=result.platform, loss=loss):
+            return cohort_score(platform, int(round(k)), loss)
+
+        weighted = result.occupancy.map(lambda k: k * score(k))
+        below = result.occupancy.map(
+            lambda k: k if (k > 0 and score(k) < DEGRADED_THRESHOLD) else 0.0
+        )
+        mos_micro_us += np.rint(weighted.bins(0.0, duration_s, bin_s) * 1e6).astype(
+            np.int64
+        )
+        micro_us += np.rint(
+            result.occupancy.bins(0.0, duration_s, bin_s) * 1e6
+        ).astype(np.int64)
+        below_micro_us += int(round(below.integral() * 1e6))
+    return {
+        "first_room": first_room,
+        "n_rooms": n_rooms,
+        "egress_bits_per_bin": egress_bits.tolist(),
+        "viewer_bits_per_bin": viewer_bits.tolist(),
+        "mos_micro_user_seconds_per_bin": mos_micro_us.tolist(),
+        "micro_user_seconds_per_bin": micro_us.tolist(),
+        "qoe_below_micro_user_seconds": below_micro_us,
+        "user_seconds": user_seconds,
+        "peak_room_egress_bps": peak_egress_bps,
+        "peak_occupancy": peak_occupancy,
+    }
+
+
+#: Horizons, bins and churn intervals: a whole number of bins and churn
+#: steps, and two horizons that are a multiple of neither.
+_SHARD_CLOCKS = (
+    {"duration_s": 60.0},
+    {"duration_s": 47.3, "bin_s": 4.0},
+    {"duration_s": 31.0, "bin_s": 2.5, "churn_interval_s": 7.0},
+)
+
+
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
+@pytest.mark.parametrize(
+    "platform", ["vrchat", "altspacevr", "recroom", "hubs", "worlds"]
+)
+def test_simulate_shard_matches_the_per_room_loop_bit_for_bit(platform, architecture):
+    """Every returned field but the wall time, over viewport factors,
+    churn on and off, off-grid horizons and 1-room to odd-sized shards
+    (a shard that adds rooms in any other order moves the low bits)."""
+    index = ARCHITECTURES.index(architecture)
+    for case, (viewport_factor, churn, (first_room, n_rooms)) in enumerate(
+        (
+            ("uniform", True, (0, 37)),
+            (None, False, (5, 1)),
+            (0.37, True, (11, 9)),
+            ("uniform", False, (2, 13)),
+        )
+    ):
+        scenario = ScaleScenario(
+            platform=platform,
+            architecture=architecture,
+            users_per_room=3 + 4 * case,
+            churn=churn,
+            viewport_factor=viewport_factor,
+            **_SHARD_CLOCKS[(index + case) % len(_SHARD_CLOCKS)],
+        )
+        seed = index + case
+        partial = simulate_shard(scenario, first_room, n_rooms, seed=seed)
+        assert partial.pop("wall_time_s") >= 0.0
+        assert repr(partial) == repr(
+            _per_room_shard(scenario, first_room, n_rooms, seed)
+        ), (scenario, first_room, n_rooms)
+
+
+def test_simulate_shard_rejects_a_room_off_the_shared_grid(monkeypatch):
+    from repro.scale import shard
+
+    def uneven(rng, target_users, duration_s, **_):
+        split = rng.uniform(1.0, duration_s - 1.0)
+        return PiecewiseConstant([0.0, split, duration_s], [target_users] * 2)
+
+    monkeypatch.setattr(shard, "churn_occupancy", uneven)
+    with pytest.raises(ValueError, match="room 1's churn grid differs"):
+        simulate_shard(ScaleScenario(duration_s=30.0), 0, 2)
+    with pytest.raises(ValueError, match="n_rooms must be >= 1"):
+        simulate_shard(ScaleScenario(), 0, 0)
 
 
 def test_metaverse_scale_experiment_summary():
