@@ -1,14 +1,14 @@
 """Benchmark support: collect each experiment's rendered paper artifact.
 
-Every paper benchmark runs one block of the paper record
+``bench_paper_record.py`` runs each block of the paper record
 (``repro.measure.record``) through the ``paper_report`` fixture, which
-times the run and renders its result with the block's renderer.  Those
-renderings are sim-deterministic: they are printed in the terminal
-summary, written to ``benchmarks/RESULTS.txt``, the committed paper
-record, which a full run regenerates byte for byte, and copied into
-EXPERIMENTS.md between ``<!-- record:NAME -->`` markers.  A run that
-misses any block (one bench file, a ``-k`` selection) leaves both
-files as they are.
+times the run and renders its result with the block's renderer, and
+then runs the block's check on the result.  The renderings are
+sim-deterministic: they are printed in the terminal summary, written
+to ``benchmarks/RESULTS.txt``, the committed paper record, which a
+full run regenerates byte for byte, and copied into EXPERIMENTS.md
+between ``<!-- record:NAME -->`` markers.  A run that misses any block
+(a ``-k`` selection) leaves both files as they are.
 
 Wall-clock benchmarks (engine speedups, observability overhead)
 register through ``timing_report`` instead: their blocks are printed
@@ -32,7 +32,7 @@ EXPERIMENTS_PATH = RESULTS_PATH.parent.parent / "EXPERIMENTS.md"
 @pytest.fixture
 def paper_report(benchmark):
     """Call with a record block: runs it once under the benchmark timer,
-    registers its rendering, and returns the result for shape checks."""
+    registers its rendering, and returns the result for its check."""
 
     def run(block):
         result = benchmark.pedantic(block.run, rounds=1, iterations=1)

@@ -23,8 +23,9 @@ Each block of the paper record (:mod:`repro.measure.record`: Tables
 1-4, Figs. 2-13, the Sec. 4.2, 6.1, 6.3 and 8.2 studies and two
 ablations) is a subcommand, named as ``python -m repro --help`` lists
 it, that prints the block exactly as ``benchmarks/RESULTS.txt`` holds
-it.  Other parameter values run through :mod:`repro.core.api` or
-``campaign --param``.
+it, then checks the shape the paper claims for it: a broken claim is
+named on stderr and the exit status is 1.  Other parameter values run
+through :mod:`repro.core.api` or ``campaign --param``.
 
 Any subcommand accepts ``--metrics-out PATH`` to additionally write the
 run's observability dump (metric registry + packet/span traces) as
@@ -43,7 +44,7 @@ import argparse
 import sys
 import typing
 
-from .measure.record import BLOCKS, format_block
+from .measure.record import BLOCKS, ClaimFailed, format_block
 from .measure.report import render_table
 
 
@@ -581,7 +582,13 @@ def _cmd_quickstart(args) -> int:
 
 def _cmd_block(args) -> int:
     block = args.block
-    print(format_block(block.title, block.render(block.run())))
+    result = block.run()
+    print(format_block(block.title, block.render(result)))
+    try:
+        block.check(result)
+    except ClaimFailed as failed:
+        print(f"{block.name}: claim failed: {failed}", file=sys.stderr)
+        return 1
     return 0
 
 

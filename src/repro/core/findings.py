@@ -190,7 +190,7 @@ def check_finding_5_tcp_priority(run) -> Finding:
     if not run.tcp_recovered:
         issues.append("TCP did not recover after the loss cleared")
     final_stage = run.stages[-1]
-    if final_stage.udp_up_kbps.mean > 5.0:
+    if not final_stage.udp_up_kbps.mean < 5.0:  # a NaN mean is an issue too
         issues.append("UDP resumed after recovery (paper: it does not)")
     return Finding(
         5,

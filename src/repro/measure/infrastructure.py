@@ -326,13 +326,3 @@ def regional_study(
                     )
                 )
     return probes
-
-
-def east_rtt_ms(report: InfrastructureReport, channel: str = "data") -> typing.Optional[float]:
-    """Convenience accessor: east-coast RTT of a channel."""
-    if channel == "control":
-        return report.control.east_rtt.mean
-    for item in report.data:
-        if item.channel == channel or channel == "data":
-            return item.east_rtt.mean
-    return None

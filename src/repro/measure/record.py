@@ -2,15 +2,17 @@
 
 ``benchmarks/RESULTS.txt`` is the committed record of the paper's
 artifacts.  Each :class:`Block` here names the registry experiment that
-regenerates one of them, the arguments the record runs it with, and the
+regenerates one of them, the arguments the record runs it with, the
 one renderer that turns the result into the block's text, paper
-reference values included.  The paper benches, ``python -m repro
-<block>`` and the generated tables in EXPERIMENTS.md all print through
-these renderers, so they cannot disagree.
+reference values included, and the one check of the shape the paper
+claims for it (orderings, slopes, crossovers).  The paper bench,
+``python -m repro <block>`` and the generated tables in EXPERIMENTS.md
+all print through these renderers, and the bench and the CLI run these
+checks, so they cannot disagree.
 
 Building the CLI parser lists the blocks, so this module imports only
 :mod:`repro.measure.report`; the experiment registry is built when a
-block runs.
+block runs, and each check imports what it uses when it runs.
 """
 
 from __future__ import annotations
@@ -24,15 +26,30 @@ from .report import render_series, render_table
 BANNER = "=" * 78
 
 
+class ClaimFailed(AssertionError):
+    """A block's result breaks a claim the paper makes of its artifact."""
+
+
+def _claim(holds: bool, claim: str) -> None:
+    """Raise :class:`ClaimFailed` naming ``claim`` unless it holds (a
+    plain ``assert`` would vanish under ``python -O``)."""
+    if not holds:
+        raise ClaimFailed(claim)
+
+
 @dataclasses.dataclass(frozen=True)
 class Block:
-    """One artifact of the record: what to run and how to print it."""
+    """One artifact of the record: what to run, how to print it, and
+    what must hold of it."""
 
     name: str  # CLI subcommand and EXPERIMENTS.md marker
     title: str
     experiment: str  # a name in repro.measure.experiment's registry
     render: typing.Callable[[typing.Any], str]
     kwargs: typing.Mapping = dataclasses.field(default_factory=dict)
+    #: Raises :class:`ClaimFailed` on the first claim the result breaks;
+    #: declared with :func:`_check` after the renderer.
+    check: typing.Optional[typing.Callable[[typing.Any], None]] = None
 
     def run(self):
         """Run the block's experiment with the record's arguments."""
@@ -51,6 +68,16 @@ def _block(name: str, title: str, experiment: str, **kwargs):
     def declare(render):
         BLOCKS[name] = Block(name, title, experiment, render, kwargs)
         return render
+
+    return declare
+
+
+def _check(name: str):
+    """Declare the decorated function as block ``name``'s check."""
+
+    def declare(check):
+        BLOCKS[name] = dataclasses.replace(BLOCKS[name], check=check)
+        return check
 
     return declare
 
@@ -95,6 +122,15 @@ def _fig11(results) -> str:
     return render_table(headers, rows)
 
 
+@_check("fig11")
+def _fig11_check(results) -> None:
+    for name, series in results.items():
+        e2e = [item.e2e.mean for item in series]
+        _claim(e2e == sorted(e2e), f"{name} E2E latency never falls as users join")
+    hubs = [item.e2e.mean for item in results["hubs"]]
+    _claim(hubs[-1] - hubs[0] > 30.0, "hubs E2E latency rises by more than 30 ms over the sweep")
+
+
 @_block(
     "fig12",
     "Fig. 12 — Worlds downlink disruption (paper: client uses all "
@@ -126,6 +162,21 @@ def _fig12(run) -> str:
         + "\n"
         + render_series("downlink over time (Kbps)", run.down_kbps)
     )
+
+
+@_check("fig12")
+def _fig12_check(run) -> None:
+    baseline, tight, recovery = run.stages[0], run.stages[5], run.stages[-1]
+    _claim(
+        tight.up_kbps.mean < 0.6 * baseline.up_kbps.mean,
+        "a tight downlink cuts the uplink below 60% of the baseline's",
+    )
+    _claim(
+        tight.cpu_pct.mean > baseline.cpu_pct.mean + 20,
+        "a tight downlink raises CPU by more than 20 points",
+    )
+    _claim(tight.fps.mean < 60.0, "FPS falls below 60 under a tight downlink")
+    _claim(recovery.fps.mean > 65.0, "FPS recovers above 65 once the downlink is free")
 
 
 @_block(
@@ -169,6 +220,20 @@ def _fig13(runs) -> str:
     )
 
 
+@_check("fig13")
+def _fig13_check(runs) -> None:
+    from ..core.findings import check_finding_5_tcp_priority
+
+    bandwidth_run, tcp_run = runs
+    finding = check_finding_5_tcp_priority(tcp_run)
+    _claim(finding.passed, f"Finding 5: {finding.evidence}")
+    # Uplink restriction also drags the downlink down (U2's recovery).
+    _claim(
+        bandwidth_run.stages[5].down_kbps.mean < 0.75 * bandwidth_run.stages[0].down_kbps.mean,
+        "a tight uplink cuts the downlink below 75% of the baseline's",
+    )
+
+
 @_block(
     "fig2",
     "Fig. 2 — Channel activity per stage (paper: control busy on the "
@@ -195,6 +260,17 @@ def _fig2(timelines) -> str:
     return "\n".join(blocks)
 
 
+@_check("fig2")
+def _fig2_check(timelines) -> None:
+    vrchat = timelines["vrchat"]
+    join = int(vrchat.event_join_at)
+    _claim(sum(vrchat.data_down_kbps[:join]) < 5.0, "vrchat's data channel idles before the event")
+    _claim(
+        sum(vrchat.data_down_kbps[join + 10 :]) > 100.0,
+        "vrchat's data channel is busy during the event",
+    )
+
+
 @_block(
     "fig3",
     "Fig. 3 — Forwarding evidence (paper: series match; Worlds' "
@@ -211,6 +287,15 @@ def _fig3(evidence) -> str:
         rows.append([name, f"{item.corr:.3f}", f"{item.down_up_ratio:.3f}"])
     table = render_table(["Platform", "corr(U1 up, U2 down)", "down/up ratio"], rows)
     return "\n".join(blocks) + "\n\n" + table
+
+
+@_check("fig3")
+def _fig3_check(evidence) -> None:
+    _claim(evidence["recroom"].corr > 0.55, "recroom's U2 downlink tracks U1's uplink")
+    _claim(
+        0.4 < evidence["worlds"].down_up_ratio < 0.75,
+        "worlds' downlink is 0.4-0.75 of the uplink",
+    )
 
 
 @_block(
@@ -241,6 +326,20 @@ def _fig6(timelines) -> str:
     return "\n".join(blocks) + "\n\n" + table
 
 
+@_check("fig6")
+def _fig6_check(timelines) -> None:
+    altspace = timelines["altspacevr"]
+    _claim(
+        altspace.down_after_turn_kbps < 0.6 * altspace.down_before_turn_kbps,
+        "altspacevr's downlink falls below 60% once avatars leave the viewport",
+    )
+    vrchat = timelines["vrchat"]
+    _claim(
+        vrchat.down_after_turn_kbps > 0.8 * vrchat.down_before_turn_kbps,
+        "vrchat's downlink stays above 80% after the turn",
+    )
+
+
 @_block(
     "fig7",
     "Fig. 7 — Scalability sweep (paper: linear downlink growth, Worlds "
@@ -264,6 +363,22 @@ def _fig7(sweeps) -> str:
         + "\n\n"
         + render_table(headers, fps_rows, title="Average FPS")
     )
+
+
+@_check("fig7")
+def _fig7_check(sweeps) -> None:
+    from .stats import linearity_r2
+
+    worlds = sweeps["worlds"]
+    _claim(worlds[-1].down_kbps.mean > 4200.0, "worlds' downlink exceeds 4200 Kbps at 15 users")
+    hubs_fps = {p.n_users: p.fps.mean for p in sweeps["hubs"]}
+    _claim(hubs_fps[15] < 40.0, "hubs' FPS falls below 40 at 15 users")
+    for name, points in sweeps.items():
+        _claim(
+            linearity_r2([p.n_users for p in points], [p.down_kbps.mean for p in points])
+            > 0.97,
+            f"{name}'s downlink is linear in users (R2 > 0.97)",
+        )
 
 
 @_block(
@@ -292,6 +407,16 @@ def _fig8(sweeps) -> str:
     return render_table(headers, rows)
 
 
+@_check("fig8")
+def _fig8_check(sweeps) -> None:
+    cpu_at_15 = {name: points[-1].cpu_pct.mean for name, points in sweeps.items()}
+    _claim(max(cpu_at_15, key=cpu_at_15.get) == "hubs", "hubs has the highest CPU at 15 users")
+    altspace = sweeps["altspacevr"]
+    cpu_growth = altspace[-1].cpu_pct.mean - altspace[0].cpu_pct.mean
+    gpu_growth = altspace[-1].gpu_pct.mean - altspace[0].gpu_pct.mean
+    _claim(gpu_growth > cpu_growth, "altspacevr's GPU grows more than its CPU with users")
+
+
 @_block(
     "fig9",
     "Fig. 9 — Private Hubs server, 15-28 users (paper: downlink keeps "
@@ -301,6 +426,22 @@ def _fig8(sweeps) -> str:
 def _fig9(points) -> str:
     rows = [[p.n_users, f"{p.down_kbps.mean / 1000:.2f}", f"{p.fps.mean:.0f}"] for p in points]
     return render_table(["Users", "Downlink (Mbps)", "FPS"], rows)
+
+
+@_check("fig9")
+def _fig9_check(points) -> None:
+    from .stats import linearity_r2, percent_change
+
+    downs = [p.down_kbps.mean for p in points]
+    _claim(
+        linearity_r2([p.n_users for p in points], downs) > 0.97,
+        "the private hubs downlink stays linear in users (R2 > 0.97)",
+    )
+    _claim(downs[-1] > 1800.0, "the private hubs downlink exceeds 1800 Kbps at 28 users")
+    _claim(
+        percent_change(points[0].fps.mean, points[-1].fps.mean) < -20.0,
+        "hubs' FPS drops by more than 20% from 15 to 28 users",
+    )
 
 
 @_block(
@@ -336,6 +477,19 @@ def _remote_rendering(study) -> str:
     )
 
 
+@_check("remote-rendering")
+def _remote_rendering_check(study) -> None:
+    downs = [p.down_mbps for p in study["ablation"]]
+    _claim(
+        max(downs) - min(downs) < 0.05 * max(downs),
+        "the remote-rendering viewer downlink is flat (within 5%)",
+    )
+    _claim(
+        study["comparison"][-1].remote_rendering_wins,
+        "remote rendering is cheaper than forwarding in the largest room",
+    )
+
+
 @_block(
     "latency-loss",
     "Sec. 8.2 — Latency/loss QoE (paper: chat degrades past ~300 ms E2E; "
@@ -357,6 +511,15 @@ def _latency_loss(results) -> str:
                 label = f"+{item.added_latency_ms:.0f} ms"
             rows.append([name, label, "yes" if item.disturbed else "no", item.reason])
     return render_table(headers, rows)
+
+
+@_check("latency-loss")
+def _latency_loss_check(results) -> None:
+    recroom = results["recroom"]
+    lat_300 = next(a for a in recroom if a.added_latency_ms == 300)
+    _claim(lat_300.disturbed, "recroom is disturbed at +300 ms")
+    loss_20 = next(a for a in recroom if a.loss_rate == 0.20)
+    _claim(not loss_20.disturbed, "recroom is not disturbed by 20% loss")
 
 
 @_block(
@@ -385,6 +548,25 @@ def _solutions(results) -> str:
     return render_table(headers, rows)
 
 
+@_check("solutions")
+def _solutions_check(results) -> None:
+    p2p = results["p2p"]
+    _claim(
+        p2p[-1].viewer_up_kbps > 5 * p2p[0].viewer_up_kbps,
+        "p2p client uplink grows more than 5x with the room",
+    )
+    _claim(
+        all(point.server_forwarded_kbps == 0 for point in p2p),
+        "p2p forwards nothing through a server",
+    )
+    interest = results["interest"]
+    forwarding = results["forwarding"]
+    _claim(
+        interest[-1].viewer_down_kbps < 0.6 * forwarding[-1].viewer_down_kbps,
+        "interest scoping keeps the largest room's downlink below 60% of forwarding's",
+    )
+
+
 @_block(
     "viewport-tradeoff",
     "Ablation — viewport filtering trade-off (Sec. 6.1: the server "
@@ -400,12 +582,29 @@ def _viewport_tradeoff(points) -> str:
     return render_table(["Configuration", "Missing content", "Data savings"], rows)
 
 
+@_check("viewport-tradeoff")
+def _viewport_tradeoff_check(points) -> None:
+    bare, widened, predicted = points
+    _claim(bare.missing_fraction > 0.05, "a bare FoV cone misses more than 5% of content")
+    _claim(widened.missing_fraction < 0.02, "a widened viewport misses less than 2%")
+    _claim(predicted.missing_fraction < 0.02, "a predicted viewport misses less than 2%")
+    _claim(
+        predicted.savings_fraction > widened.savings_fraction,
+        "a predicted viewport saves more data than a widened one",
+    )
+
+
 @_block("table1", "Table 1 — Feature comparison of five social VR platforms", "features")
 def _table1(rows) -> str:
     from ..platforms.registry import FEATURE_COLUMNS
 
     headers = ["Platform", "Company"] + list(FEATURE_COLUMNS)
     return render_table(headers, [[row[h] for h in headers] for row in rows])
+
+
+@_check("table1")
+def _table1_check(rows) -> None:
+    _claim(len(rows) == 5, "Table 1 lists five platforms")
 
 
 @_block(
@@ -438,6 +637,15 @@ def _table2(reports) -> str:
     return render_table(headers, rows)
 
 
+@_check("table2")
+def _table2_check(reports) -> None:
+    _claim(
+        reports["altspacevr"].data[0].east_rtt.mean > 70.0,
+        "altspacevr's data server is over 70 ms from the east coast",
+    )
+    _claim(bool(reports["recroom"].data[0].anycast), "recroom's data server is anycast")
+
+
 @_block(
     "regional",
     "Sec. 4.2 — Regional follow-up (paper: AltspaceVR data ~150 ms and "
@@ -466,6 +674,23 @@ def _regional(probes) -> str:
         for probe in probes
     ]
     return render_table(headers, rows)
+
+
+@_check("regional")
+def _regional_check(probes) -> None:
+    by_key = {(p.vantage, p.platform): p for p in probes}
+    _claim(
+        by_key[("united-kingdom", "altspacevr")].data_rtt_ms > 130.0,
+        "altspacevr's data RTT from the U.K. exceeds 130 ms",
+    )
+    _claim(
+        by_key[("united-kingdom", "hubs")].voice_rtt_ms > 130.0,
+        "hubs' voice RTT from the U.K. exceeds 130 ms",
+    )
+    _claim(
+        by_key[("united-kingdom", "worlds")].data_server_region == "unavailable",
+        "worlds is unavailable in the U.K.",
+    )
 
 
 #: Table 3 paper values (up, down, avatar Kbps).
@@ -504,6 +729,14 @@ def _table3(rows_by_name) -> str:
             ]
         )
     return render_table(headers, rows)
+
+
+@_check("table3")
+def _table3_check(rows_by_name) -> None:
+    _claim(
+        rows_by_name["worlds"].up_kbps.mean > 10 * rows_by_name["vrchat"].up_kbps.mean,
+        "worlds' uplink is over 10x vrchat's",
+    )
 
 
 #: Table 4 paper values (E2E, sender, receiver, server ms), in the
@@ -548,6 +781,15 @@ def _table4(results) -> str:
     return render_table(headers, rows)
 
 
+@_check("table4")
+def _table4_check(results) -> None:
+    e2e = {name: results[name].e2e.mean for name in TABLE4_PAPER}
+    _claim(
+        e2e["hubs"] > e2e["altspacevr"] > e2e["worlds"] > e2e["recroom"],
+        "E2E latency ranks hubs > altspacevr > worlds > recroom",
+    )
+
+
 @_block("viewport", "Sec. 6.1 — AltspaceVR viewport-width detection", "viewport-width")
 def _viewport(detection) -> str:
     return "\n".join(
@@ -560,4 +802,12 @@ def _viewport(detection) -> str:
             f"maximum data savings: {detection.max_savings_fraction:.1%} "
             "(paper: up to ~58%)",
         ]
+    )
+
+
+@_check("viewport")
+def _viewport_check(detection) -> None:
+    _claim(
+        135.0 <= detection.estimated_width_deg <= 165.0,
+        "the server viewport is 135-165 deg wide",
     )

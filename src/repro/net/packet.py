@@ -97,10 +97,6 @@ class Packet:
             self.protocol,
         )
 
-    def reply_endpoints(self) -> tuple:
-        """Swap source and destination for a response packet."""
-        return self.dst, self.src
-
     @property
     def flow_label(self) -> str:
         """The 5-tuple as one observability label:

@@ -37,14 +37,13 @@ DUPACK_THRESHOLD = 3
 class TcpMessage:
     """A framed application message queued on a connection."""
 
-    __slots__ = ("size", "meta", "enqueued_at", "end_seq", "delivered", "acked")
+    __slots__ = ("size", "meta", "enqueued_at", "end_seq", "acked")
 
     def __init__(self, size: int, meta, enqueued_at: float) -> None:
         self.size = size
         self.meta = meta
         self.enqueued_at = enqueued_at
         self.end_seq = 0
-        self.delivered = False
         self.acked = False
 
 
@@ -73,7 +72,6 @@ class TcpConnection:
         self.snd_nxt = 0
         self.write_seq = 0  # end of data queued by the application
         self._segments: dict[int, dict] = {}  # seq -> in-flight segment info
-        self._send_queue: list[TcpMessage] = []
         self._markers: list[TcpMessage] = []  # messages not yet fully sent
         self.cwnd = float(INITIAL_CWND)
         self.ssthresh = float(1 << 30)
@@ -151,7 +149,6 @@ class TcpConnection:
         message = TcpMessage(size, meta, self.sim.now)
         self.write_seq += size
         message.end_seq = self.write_seq
-        self._send_queue.append(message)
         self._markers.append(message)
         if self.established:
             self._try_send()

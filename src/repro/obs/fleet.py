@@ -33,7 +33,7 @@ import os
 import typing
 from fractions import Fraction
 
-from .metrics import Histogram, MetricsRegistry
+from .metrics import MetricsRegistry
 
 #: Bumped when the mergeable serialization below changes shape.
 FLEET_SCHEMA = 1
@@ -311,14 +311,6 @@ def _merge_extreme(current, incoming, combine):
     if current is None:
         return incoming
     return combine(current, incoming)
-
-
-def _reconstruct_histogram(entry: dict) -> Histogram:  # pragma: no cover - debug aid
-    hist = Histogram(entry["name"], _labels_tuple(entry["labels"]), entry["bounds"])
-    hist.bucket_counts = list(entry["bucket_counts"])
-    hist.count = entry["count"]
-    hist.sum = entry["sum"]
-    return hist
 
 
 # ----------------------------------------------------------------------

@@ -435,11 +435,6 @@ class PlatformClient:
         if not self.muted:
             self._start_voice_timer()
 
-    def _spawn(self, generator, label: str) -> None:
-        self._processes.append(
-            self.sim.spawn(generator, name=f"{self.user_id}-{label}")
-        )
-
     def _add_timer(self, interval: float, callback, first_delay=None) -> None:
         self._timers.append(
             self.sim.ticks.call_every(interval, callback, first_delay=first_delay)

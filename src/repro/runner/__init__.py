@@ -150,12 +150,6 @@ class CampaignResult:
         """Per-task result values, in plan order (``None`` for failures)."""
         return [r.value for r in self.task_results]
 
-    def value_for(self, spec: TaskSpec) -> typing.Any:
-        for result in self.task_results:
-            if result.spec == spec:
-                return result.value
-        raise KeyError(f"no result for task {spec.task_id}")
-
     def __len__(self) -> int:
         return len(self.task_results)
 

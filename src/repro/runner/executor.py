@@ -283,17 +283,8 @@ class CampaignExecutor:
             while len(results) < len(units):
                 now = time.monotonic()
                 if not self._submit_ready(pool, pending, inflight, telemetry, now):
-                    # The pool broke while submitting; drain whatever was
-                    # in flight through normal bookkeeping and rebuild.
-                    finished, unresolved = wait(set(inflight), timeout=5.0)
-                    for future in finished:
-                        attempt, _deadline = inflight.pop(future)
-                        self._collect(future, attempt, results, pending, telemetry)
-                    for future in unresolved:  # pragma: no cover - defensive
-                        attempt, _deadline = inflight.pop(future)
-                        pending.append(attempt)
-                    pool.shutdown(wait=False)
-                    pool = self._new_pool()
+                    # The pool broke while submitting.
+                    pool = self._rebuild(pool, inflight, results, pending, telemetry)
                     continue
                 if not inflight:
                     # Everything runnable is backing off; sleep to the
@@ -311,17 +302,8 @@ class CampaignExecutor:
                     broken |= self._collect(future, attempt, results, pending, telemetry)
                 if broken:
                     # Every surviving in-flight future is already (or is
-                    # about to be) failed with BrokenProcessPool; drain
-                    # them through the same bookkeeping, then rebuild.
-                    finished, unresolved = wait(set(inflight), timeout=5.0)
-                    for future in finished:
-                        attempt, _deadline = inflight.pop(future)
-                        self._collect(future, attempt, results, pending, telemetry)
-                    for future in unresolved:  # pragma: no cover - defensive
-                        attempt, _deadline = inflight.pop(future)
-                        pending.append(attempt)
-                    pool.shutdown(wait=False)
-                    pool = self._new_pool()
+                    # about to be) failed with BrokenProcessPool.
+                    pool = self._rebuild(pool, inflight, results, pending, telemetry)
                     continue
                 timed_out = [
                     (future, pair)
@@ -372,6 +354,20 @@ class CampaignExecutor:
     def _new_pool(self) -> ProcessPoolExecutor:
         context = multiprocessing.get_context(self.start_method)
         return ProcessPoolExecutor(max_workers=self.max_workers, mp_context=context)
+
+    def _rebuild(self, pool, inflight, results, pending, telemetry) -> ProcessPoolExecutor:
+        """Drain a broken pool's in-flight futures through the normal
+        bookkeeping (requeueing any that never resolve), shut it down,
+        and return a new pool."""
+        finished, unresolved = wait(set(inflight), timeout=5.0)
+        for future in finished:
+            attempt, _deadline = inflight.pop(future)
+            self._collect(future, attempt, results, pending, telemetry)
+        for future in unresolved:  # pragma: no cover - defensive
+            attempt, _deadline = inflight.pop(future)
+            pending.append(attempt)
+        pool.shutdown(wait=False)
+        return self._new_pool()
 
     def _submit_ready(self, pool, pending, inflight, telemetry, now) -> bool:
         """Top up the in-flight window; False if the pool broke mid-submit."""

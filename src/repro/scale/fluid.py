@@ -9,7 +9,8 @@ makes 10^6-user scenarios tractable (the flow-level tradition of
 ns-2/fluid and the traffic-forecasting literature the ISSUE cites).
 
 Cross-validation against the packet engine lives in
-``tests/test_scale_agreement.py`` and ``benchmarks/bench_scale_engine.py``.
+``tests/test_scale_agreement.py``; ``benchmarks/bench_scale_engine.py``
+times a fluid room against its packet room.
 """
 
 from __future__ import annotations

@@ -7,12 +7,15 @@ on the :mod:`repro.runner` process pool, and merges the per-shard
 binned series into one ThroughputSeries-compatible aggregate.
 
 Determinism is per *room*, not per shard: room ``i`` always derives its
-RNG from ``derive_seed(seed, "room:i")``, so the merged result is
-byte-identical no matter how many shards or workers executed it.
+RNG from ``derive_seed(seed, "room:i")``, and a shard hands back each
+total as its rooms' distinct values with room counts, which the merge
+adds exactly and rounds once, so the merged result is byte-identical no
+matter how many shards or workers executed it.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 import time
@@ -79,10 +82,12 @@ def simulate_shard(
 
     The rooms run as one array pass: a ``(rooms, segments)`` occupancy
     matrix on the churn grid every room shares, each distinct occupancy
-    mapped once to its rates and cohort weights, every row binned
-    through one overlap table, and rows added in room order.  Each
-    room's numbers are the IEEE operations its own step functions would
-    perform, so the totals are bit for bit a per-room loop's.
+    mapped once to its rates and cohort weights, and every row binned
+    through one overlap table.  Each room's numbers are the IEEE
+    operations its own step functions would perform, so they are bit for
+    bit a per-room loop's.  Every total comes back as a tally: the
+    distinct room values of each bin (or of the whole run) with how many
+    rooms have each, which :func:`run_sharded` adds without rounding.
     """
     import random
 
@@ -135,41 +140,47 @@ def simulate_shard(
     egress, viewer = rates[..., 0], rates[..., 1]
     mos_weighted, below = weights[..., 0], weights[..., 1]
 
-    def binned(rows: np.ndarray) -> np.ndarray:
-        return bin_rows(grid, rows, 0.0, duration_s, scenario.bin_s)
+    def binned(rows: np.ndarray) -> typing.List[dict]:
+        bins = bin_rows(grid, rows, 0.0, duration_s, scenario.bin_s)
+        return [_tally(column) for column in bins.T]
 
-    # QoE accumulates in integer micro-user-seconds: int64 addition is
-    # exact and associative, so the merged totals are byte-identical no
-    # matter how rooms are grouped into shards (float bin values are
-    # not: summation order changes the low bits).
-    mos_micro_us = np.rint(binned(mos_weighted) * 1e6).astype(np.int64).sum(axis=0)
-    micro_us = np.rint(binned(users) * 1e6).astype(np.int64).sum(axis=0)
-    qoe_below_micro_us = sum(
-        int(round(x * 1e6)) for x in integrate_rows(grid, below).tolist()
-    )
     return {
         "first_room": first_room,
         "n_rooms": n_rooms,
-        "egress_bits_per_bin": _sum_in_room_order(binned(egress)).tolist(),
-        "viewer_bits_per_bin": _sum_in_room_order(binned(viewer)).tolist(),
-        "mos_micro_user_seconds_per_bin": mos_micro_us.tolist(),
-        "micro_user_seconds_per_bin": micro_us.tolist(),
-        "qoe_below_micro_user_seconds": qoe_below_micro_us,
-        "user_seconds": float(_sum_in_room_order(integrate_rows(grid, users))),
+        "egress_bits_per_bin": binned(egress),
+        "viewer_bits_per_bin": binned(viewer),
+        "mos_user_seconds_per_bin": binned(mos_weighted),
+        "user_seconds_per_bin": binned(users),
+        "qoe_below_user_seconds": _tally(integrate_rows(grid, below)),
+        "user_seconds": _tally(integrate_rows(grid, users)),
         "peak_room_egress_bps": max(0.0, float(egress.max())),
         "peak_occupancy": int(users.max()),
         "wall_time_s": time.perf_counter() - started,
     }
 
 
-def _sum_in_room_order(rows: np.ndarray) -> np.ndarray:
-    """``0.0 + rows[0] + rows[1] + ...``, added left to right.
+def _tally(values: np.ndarray) -> dict:
+    """``{value: rooms}``: each distinct room value and how many rooms have it."""
+    distinct, rooms = np.unique(values, return_counts=True)
+    return dict(zip(distinct.tolist(), rooms.tolist()))
 
-    The order a per-room loop adds rooms in: ``np.sum`` pairs rows up
-    along a contiguous axis, which moves the low bits of float totals.
+
+def _exact_total(tally: typing.Mapping[float, int]) -> float:
+    """Σ rooms × value, rounded once to the nearest float.
+
+    A float is an integer over a power of two, so the sum is an exact
+    integer over the largest of those powers, and int/int true division
+    rounds it correctly.
     """
-    zero = np.zeros((1,) + rows.shape[1:])
-    return np.add.accumulate(np.concatenate([zero, rows]), axis=0)[-1]
+    ratios = [(value.as_integer_ratio(), rooms) for value, rooms in tally.items()]
+    denominator = max((q for (_, q), _ in ratios), default=1)
+    return sum(p * rooms * (denominator // q) for (p, q), rooms in ratios) / denominator
+
+
+def _micro_total(tally: typing.Mapping[float, int]) -> int:
+    """Σ rooms × value in integer micro-units, each room's value rounded
+    to a micro-unit first: how the QoE totals add."""
+    return sum(round(value * 1e6) * rooms for value, rooms in tally.items())
 
 
 @dataclasses.dataclass
@@ -309,33 +320,42 @@ def run_sharded(
         raise RuntimeError(
             f"scale shard {failure.spec.task_id} failed: {failure.error}"
         )
-    partials = campaign.values()
-    # Merge in room order (shard ranges are emitted in room order, and
-    # campaign results come back in plan order).
+    # Add the shards' room counts per value, then read each total once.
     n_bins = int(math.ceil(scenario.duration_s / scenario.bin_s))
-    egress_bits = np.zeros(n_bins)
-    viewer_bits = np.zeros(n_bins)
-    mos_micro_us = np.zeros(n_bins, dtype=np.int64)
-    micro_us = np.zeros(n_bins, dtype=np.int64)
-    qoe_below_micro_us = 0
-    user_seconds = 0.0
+    per_bin = {
+        key: [collections.Counter() for _ in range(n_bins)]
+        for key in (
+            "egress_bits_per_bin",
+            "viewer_bits_per_bin",
+            "mos_user_seconds_per_bin",
+            "user_seconds_per_bin",
+        )
+    }
+    below = collections.Counter()
+    users = collections.Counter()
     peak_room = 0.0
     peak_occupancy = 0
     shard_wall = 0.0
-    for partial in partials:
-        egress_bits += np.asarray(partial["egress_bits_per_bin"])
-        viewer_bits += np.asarray(partial["viewer_bits_per_bin"])
-        mos_micro_us += np.asarray(
-            partial["mos_micro_user_seconds_per_bin"], dtype=np.int64
-        )
-        micro_us += np.asarray(
-            partial["micro_user_seconds_per_bin"], dtype=np.int64
-        )
-        qoe_below_micro_us += partial["qoe_below_micro_user_seconds"]
-        user_seconds += partial["user_seconds"]
+    for partial in campaign.values():
+        for key, tallies in per_bin.items():
+            for tally, shard_tally in zip(tallies, partial[key]):
+                tally.update(shard_tally)
+        below.update(partial["qoe_below_user_seconds"])
+        users.update(partial["user_seconds"])
         peak_room = max(peak_room, partial["peak_room_egress_bps"])
         peak_occupancy = max(peak_occupancy, partial["peak_occupancy"])
         shard_wall += partial["wall_time_s"]
+    egress_bits = np.array([_exact_total(t) for t in per_bin["egress_bits_per_bin"]])
+    viewer_bits = np.array([_exact_total(t) for t in per_bin["viewer_bits_per_bin"]])
+    # QoE totals add in integer micro-user-seconds.
+    mos_micro_us = np.array(
+        [_micro_total(t) for t in per_bin["mos_user_seconds_per_bin"]], dtype=np.int64
+    )
+    micro_us = np.array(
+        [_micro_total(t) for t in per_bin["user_seconds_per_bin"]], dtype=np.int64
+    )
+    qoe_below_micro_us = _micro_total(below)
+    user_seconds = _exact_total(users)
     times = (np.arange(n_bins) + 0.5) * scenario.bin_s
     result = ScaleResult(
         scenario=scenario,

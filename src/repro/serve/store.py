@@ -225,7 +225,3 @@ class ArtifactStore:
                 return handle.read()
         except FileNotFoundError:
             return None
-
-    def cached_value(self, task: TaskSpec, default: typing.Any = None) -> typing.Any:
-        """Convenience passthrough to the underlying CAS."""
-        return self.cache.get(task, default)

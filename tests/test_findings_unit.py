@@ -240,3 +240,11 @@ def test_finding5_pass_and_fail_paths():
     assert "survived" in finding.evidence
     no_recovery = FakeRun(True, True, False, [FakeStage(_summary(0.1))])
     assert not check_finding_5_tcp_priority(no_recovery).passed
+
+
+@pytest.mark.parametrize("final_udp_kbps", [5.0, math.nan])
+def test_finding5_needs_the_final_udp_uplink_under_5_kbps(final_udp_kbps):
+    run = FakeRun(True, True, True, [FakeStage(_summary(final_udp_kbps))])
+    finding = check_finding_5_tcp_priority(run)
+    assert not finding.passed
+    assert finding.evidence == "UDP resumed after recovery (paper: it does not)"

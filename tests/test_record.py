@@ -1,6 +1,6 @@
-"""The paper record: one renderer per block, shared by CLI, benches and docs."""
+"""The paper record: one renderer and one check per block, shared by CLI,
+bench and docs."""
 
-import ast
 import os
 import pathlib
 import shutil
@@ -38,22 +38,20 @@ def test_the_record_holds_every_block_in_order():
 
 
 def test_benches_register_each_record_block_once():
-    registered = []
-    for path in sorted((ROOT / "benchmarks").glob("bench_*.py")):
-        tree = ast.parse(path.read_text())
-        blocks = {
-            node.targets[0].id: node.value.slice.value
-            for node in tree.body
-            if isinstance(node, ast.Assign)
-            and isinstance(node.value, ast.Subscript)
-            and getattr(node.value.value, "id", None) == "BLOCKS"
-        }
-        registered += [
-            blocks[node.args[0].id]
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "paper_report"
-        ]
-    assert sorted(registered) == sorted(BLOCKS)
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-o", "addopts=", "-q",
+         "-p", "no:cacheprovider", "benchmarks/"],
+        cwd=ROOT, env=_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    registered = [
+        line.partition("::")[2] for line in run.stdout.splitlines() if "[" in line
+    ]
+    assert registered == [f"test_paper_record[{name}]" for name in BLOCKS]
+
+
+def test_every_block_declares_a_check():
+    assert [name for name, block in BLOCKS.items() if not callable(block.check)] == []
 
 
 @pytest.mark.parametrize("name", ["table1", "table2", "regional", "viewport"])
@@ -61,6 +59,17 @@ def test_cli_prints_the_record_block(name, capsys):
     assert main([name]) == 0
     title = BLOCKS[name].title
     assert capsys.readouterr().out == f"{BANNER}\n{title}\n{BANNER}\n{_record()[title]}\n"
+
+
+def test_cli_exits_1_naming_the_claim_a_block_breaks(monkeypatch, capsys):
+    from repro.core import api
+
+    four_platforms = api.feature_table()[:4]
+    monkeypatch.setattr(api, "feature_table", lambda: four_platforms)
+    assert main(["table1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"{BANNER}\n{BLOCKS['table1'].title}\n")
+    assert captured.err == "table1: claim failed: Table 1 lists five platforms\n"
 
 
 def test_building_the_parser_runs_no_experiment_code():
@@ -86,12 +95,12 @@ def test_experiments_md_tables_are_the_record_blocks():
 
 def test_a_partial_bench_run_leaves_the_record_unchanged(tmp_path):
     (tmp_path / "benchmarks").mkdir()
-    for name in ("conftest.py", "bench_table1_features.py", "RESULTS.txt"):
+    for name in ("conftest.py", "bench_paper_record.py", "RESULTS.txt"):
         shutil.copy(ROOT / "benchmarks" / name, tmp_path / "benchmarks" / name)
     shutil.copy(EXPERIMENTS, tmp_path / "EXPERIMENTS.md")
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "benchmarks/bench_table1_features.py", "--benchmark-only"],
+         "benchmarks/bench_paper_record.py", "-k", "table1", "--benchmark-only"],
         cwd=tmp_path, env=_env(), capture_output=True, text=True, timeout=120,
     )
     assert run.returncode == 0, run.stdout + run.stderr

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import math
 import random
@@ -335,7 +336,7 @@ def test_simulate_shard_thaws_canonicalized_scenario():
     frozen = tuple(sorted(dataclasses.asdict(scenario).items()))
     partial = simulate_shard(frozen, first_room=0, n_rooms=2, seed=0)
     assert partial["n_rooms"] == 2
-    assert partial["user_seconds"] == pytest.approx(2 * 5 * 30.0)
+    assert partial["user_seconds"] == {5 * 30.0: 2}  # two rooms of 150 user-seconds
 
 
 def test_sharded_merge_is_shard_count_invariant():
@@ -405,15 +406,14 @@ def test_fluid_outputs_match_golden_digest():
 def _per_room_shard(scenario, first_room, n_rooms, seed):
     """The per-room loop ``simulate_shard`` replaced: each room's own
     step functions through ``simulate_room``, ``bins``/``integral`` and
-    ``cohort_score``, added into the shard's totals room by room."""
+    ``cohort_score``, with every total listed room by room (a per-bin
+    total as one row of bins per room)."""
     duration_s, bin_s = scenario.duration_s, scenario.bin_s
-    n_bins = int(math.ceil(duration_s / bin_s))
-    egress_bits = np.zeros(n_bins)
-    viewer_bits = np.zeros(n_bins)
-    mos_micro_us = np.zeros(n_bins, dtype=np.int64)
-    micro_us = np.zeros(n_bins, dtype=np.int64)
-    below_micro_us = 0
-    user_seconds = 0.0
+
+    def binned(f):
+        return f.bins(0.0, duration_s, bin_s).tolist()
+
+    rooms = collections.defaultdict(list)
     peak_egress_bps = 0.0
     peak_occupancy = 0
     for room in range(first_room, first_room + n_rooms):
@@ -432,9 +432,9 @@ def _per_room_shard(scenario, first_room, n_rooms, seed):
             churn_probability=scenario.churn_probability,
             viewport_factor=scenario.viewport_factor,
         )
-        egress_bits += result.egress_bps.bins(0.0, duration_s, bin_s)
-        viewer_bits += result.viewer_down_bps.bins(0.0, duration_s, bin_s)
-        user_seconds += result.user_seconds
+        rooms["egress_bits_per_bin"].append(binned(result.egress_bps))
+        rooms["viewer_bits_per_bin"].append(binned(result.viewer_down_bps))
+        rooms["user_seconds"].append(result.user_seconds)
         peak_egress_bps = max(peak_egress_bps, result.peak_egress_bps)
         peak_occupancy = max(peak_occupancy, int(max(result.occupancy.values)))
         offered = result.viewer_down_bps.integral() + result.dropped_bits
@@ -447,25 +447,24 @@ def _per_room_shard(scenario, first_room, n_rooms, seed):
         below = result.occupancy.map(
             lambda k: k if (k > 0 and score(k) < DEGRADED_THRESHOLD) else 0.0
         )
-        mos_micro_us += np.rint(weighted.bins(0.0, duration_s, bin_s) * 1e6).astype(
-            np.int64
-        )
-        micro_us += np.rint(
-            result.occupancy.bins(0.0, duration_s, bin_s) * 1e6
-        ).astype(np.int64)
-        below_micro_us += int(round(below.integral() * 1e6))
-    return {
-        "first_room": first_room,
-        "n_rooms": n_rooms,
-        "egress_bits_per_bin": egress_bits.tolist(),
-        "viewer_bits_per_bin": viewer_bits.tolist(),
-        "mos_micro_user_seconds_per_bin": mos_micro_us.tolist(),
-        "micro_user_seconds_per_bin": micro_us.tolist(),
-        "qoe_below_micro_user_seconds": below_micro_us,
-        "user_seconds": user_seconds,
-        "peak_room_egress_bps": peak_egress_bps,
-        "peak_occupancy": peak_occupancy,
-    }
+        rooms["mos_user_seconds_per_bin"].append(binned(weighted))
+        rooms["user_seconds_per_bin"].append(binned(result.occupancy))
+        rooms["qoe_below_user_seconds"].append(below.integral())
+    return rooms, peak_egress_bps, peak_occupancy
+
+
+def _tally(values):
+    """Each distinct value with how many rooms have it, ascending."""
+    return dict(sorted(collections.Counter(values).items()))
+
+
+#: ``simulate_shard``'s totals given per bin; the others are per run.
+_PER_BIN = (
+    "egress_bits_per_bin",
+    "viewer_bits_per_bin",
+    "mos_user_seconds_per_bin",
+    "user_seconds_per_bin",
+)
 
 
 #: Horizons, bins and churn intervals: a whole number of bins and churn
@@ -483,8 +482,8 @@ _SHARD_CLOCKS = (
 )
 def test_simulate_shard_matches_the_per_room_loop_bit_for_bit(platform, architecture):
     """Every returned field but the wall time, over viewport factors,
-    churn on and off, off-grid horizons and 1-room to odd-sized shards
-    (a shard that adds rooms in any other order moves the low bits)."""
+    churn on and off, off-grid horizons and 1-room to odd-sized shards:
+    each total's tally holds exactly the per-room loop's room values."""
     index = ARCHITECTURES.index(architecture)
     for case, (viewport_factor, churn, (first_room, n_rooms)) in enumerate(
         (
@@ -505,9 +504,68 @@ def test_simulate_shard_matches_the_per_room_loop_bit_for_bit(platform, architec
         seed = index + case
         partial = simulate_shard(scenario, first_room, n_rooms, seed=seed)
         assert partial.pop("wall_time_s") >= 0.0
-        assert repr(partial) == repr(
-            _per_room_shard(scenario, first_room, n_rooms, seed)
-        ), (scenario, first_room, n_rooms)
+        rooms, peak_egress_bps, peak_occupancy = _per_room_shard(
+            scenario, first_room, n_rooms, seed
+        )
+        expected = {
+            "first_room": first_room,
+            "n_rooms": n_rooms,
+            **{key: [_tally(column) for column in zip(*rooms[key])] for key in _PER_BIN},
+            "qoe_below_user_seconds": _tally(rooms["qoe_below_user_seconds"]),
+            "user_seconds": _tally(rooms["user_seconds"]),
+            "peak_room_egress_bps": peak_egress_bps,
+            "peak_occupancy": peak_occupancy,
+        }
+        assert repr(partial) == repr(expected), (scenario, first_room, n_rooms)
+
+
+@settings(max_examples=25, deadline=None)
+@example(  # the horizon at which float sums of bin totals depend on grouping
+    duration_s=47.3, bin_s=5.0, churn_interval_s=15.0, n_rooms=60, shard_counts=(3, 11)
+)
+@given(
+    duration_s=st.floats(1.0, 90.0),
+    bin_s=st.floats(0.5, 20.0),
+    churn_interval_s=st.floats(1.0, 30.0),
+    n_rooms=st.integers(1, 60),
+    shard_counts=st.tuples(st.integers(1, 60), st.integers(1, 60)),
+)
+def test_sharded_totals_are_the_exact_room_sums_at_any_shard_count(
+    duration_s, bin_s, churn_interval_s, n_rooms, shard_counts
+):
+    """Float totals are the correctly rounded sum of the rooms' values
+    (``math.fsum``) and QoE totals the sum of their micro-units, so the
+    shard count cannot move a bit of either."""
+    scenario = ScaleScenario(
+        users_per_room=8,
+        duration_s=duration_s,
+        bin_s=bin_s,
+        churn_interval_s=churn_interval_s,
+    )
+    rooms, _, _ = _per_room_shard(scenario, 0, n_rooms, seed=3)
+
+    def micro(values):
+        return sum(round(value * 1e6) for value in values) / 1e6
+
+    expected = (
+        [math.fsum(column) for column in zip(*rooms["egress_bits_per_bin"])],
+        [math.fsum(column) / n_rooms for column in zip(*rooms["viewer_bits_per_bin"])],
+        [micro(column) for column in zip(*rooms["mos_user_seconds_per_bin"])],
+        [micro(column) for column in zip(*rooms["user_seconds_per_bin"])],
+        micro(rooms["qoe_below_user_seconds"]),
+        math.fsum(rooms["user_seconds"]),
+    )
+    for shards in shard_counts:
+        result = run_sharded(scenario, n_rooms, seed=3, shards=shards, parallel=False)
+        merged = (
+            result.egress_series.bits_per_bin.tolist(),
+            result.viewer_series.bits_per_bin.tolist(),
+            result.mos_user_seconds_per_bin.tolist(),
+            result.user_seconds_per_bin.tolist(),
+            result.qoe_below_user_seconds,
+            result.user_seconds,
+        )
+        assert repr(merged) == repr(expected), shards
 
 
 def test_simulate_shard_rejects_a_room_off_the_shared_grid(monkeypatch):
