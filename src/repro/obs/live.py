@@ -29,6 +29,8 @@ from __future__ import annotations
 import collections
 import contextlib
 import json
+import selectors
+import socket
 import threading
 import time
 import typing
@@ -43,10 +45,51 @@ from .fleet import FleetAggregator
 #: Telemetry events that mark a task as no longer running.
 _TERMINAL_TASK_EVENTS = ("task_end", "task_fail", "task_retry")
 
-#: How often ``serve_forever`` checks for a shutdown request.  With the
-#: stdlib default (0.5 s) every ``close()`` could wait that long, and a
-#: serve worker closes a live plane inside each job.
-SERVE_POLL_S = 0.02
+
+class HTTPServerThread(ThreadingHTTPServer):
+    """A :class:`ThreadingHTTPServer` on its own thread that closes at once.
+
+    The stdlib's ``serve_forever`` wakes on a fixed poll to look for a
+    shutdown request, so a close can wait out one poll, and a serve
+    worker closes a live plane inside each job.  This loop instead
+    selects on the listening socket plus one end of a socketpair that
+    :meth:`close` writes to, the fix ``serve_forever``'s own comment
+    suggests.  The serve daemon's API and every :class:`LiveObsServer`
+    run on it.
+    """
+
+    daemon_threads = True
+
+    def __init__(self, address, handler, name: str) -> None:
+        super().__init__(address, handler)
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._thread = threading.Thread(target=self._serve, name=name, daemon=True)
+
+    def start(self) -> None:
+        self._thread.start()
+
+    def _serve(self) -> None:
+        with selectors.DefaultSelector() as selector:
+            selector.register(self, selectors.EVENT_READ)
+            selector.register(self._wake_r, selectors.EVENT_READ)
+            while True:
+                ready = [key.fileobj for key, _ in selector.select()]
+                if self._wake_r in ready:
+                    return
+                if ready:
+                    self._handle_request_noblock()
+
+    def close(self) -> None:
+        """Stop the loop, join its thread and close every socket; a
+        second call does nothing."""
+        if self._wake_w.fileno() == -1:
+            return
+        self._wake_w.send(b"\0")
+        if self._thread.ident is not None:
+            self._thread.join()
+        self.server_close()
+        self._wake_r.close()
+        self._wake_w.close()
 
 
 class LivePortBusyError(OSError):
@@ -111,23 +154,16 @@ class LiveObsServer:
 
         handler = _make_handler(self)
         try:
-            self._httpd = ThreadingHTTPServer((host, port), handler)
+            self._httpd = HTTPServerThread((host, port), handler, "repro-live-http")
         except OSError as exc:
             raise LivePortBusyError(
                 f"cannot serve live observability on {host}:{port} "
                 f"({exc.strerror or exc}); pick a different port, or use "
                 f"port 0 to let the OS choose a free one"
             ) from exc
-        self._httpd.daemon_threads = True
         self.host = host
         self.port = self._httpd.server_address[1]
-        self._serve_thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            kwargs={"poll_interval": SERVE_POLL_S},
-            name="repro-live-http",
-            daemon=True,
-        )
-        self._serve_thread.start()
+        self._httpd.start()
 
     # ------------------------------------------------------------------
     # Feeding (called by the runner / telemetry / queue drain)
@@ -299,8 +335,7 @@ class LiveObsServer:
             self._drain_thread.join(timeout=2.0)
         with self._cond:
             self._cond.notify_all()
-        self._httpd.shutdown()
-        self._httpd.server_close()
+        self._httpd.close()
 
     def __enter__(self) -> "LiveObsServer":
         return self

@@ -201,7 +201,6 @@ class CampaignExecutor:
         timeout_s: typing.Optional[float] = None,
         max_retries: int = 2,
         backoff_s: float = 0.05,
-        poll_interval_s: float = 0.05,
         start_method: typing.Optional[str] = None,
         collect_obs: bool = False,
         trace: bool = True,
@@ -210,7 +209,6 @@ class CampaignExecutor:
         self.timeout_s = timeout_s
         self.max_retries = max_retries
         self.backoff_s = backoff_s
-        self.poll_interval_s = poll_interval_s
         #: Run each unit under a collector; ``trace=False`` collects
         #: metrics only.
         self.collect_obs = collect_obs
@@ -293,7 +291,7 @@ class CampaignExecutor:
                     time.sleep(max(0.0, min(wake - now, 0.25)) or 0.005)
                     continue
                 done, _ = wait(
-                    set(inflight), timeout=self.poll_interval_s,
+                    set(inflight), timeout=self._wait_s(inflight, pending, now),
                     return_when=FIRST_COMPLETED,
                 )
                 broken = False
@@ -391,6 +389,15 @@ class CampaignExecutor:
             inflight[future] = (attempt, deadline)
         pending.extend(blocked)
         return healthy
+
+    def _wait_s(self, inflight, pending, now) -> typing.Optional[float]:
+        """How long the pool wait may block: to the nearest in-flight
+        deadline or, while a slot is free, the next backoff release;
+        ``None`` (until a unit finishes) when there is neither."""
+        wake = min((deadline for _, deadline in inflight.values()), default=math.inf)
+        if len(inflight) < self.max_workers:
+            wake = min([wake] + [attempt.not_before for attempt in pending])
+        return None if wake == math.inf else max(0.0, wake - now)
 
     def _collect(self, future, attempt, results, pending, telemetry) -> bool:
         """Fold one finished future into results; True if the pool broke."""

@@ -1,10 +1,10 @@
 """REST control plane: simulation-as-a-service over the job queue.
 
 ``ServeDaemon`` is the long-running face of the campaign engine — the
-ROADMAP's "serving story": a stdlib :class:`ThreadingHTTPServer` (same
-idiom as :mod:`repro.obs.live`, no web framework) in front of the
-durable queue, an in-process worker fleet, and the deduplicating
-artifact store.  Endpoints (all JSON unless noted)::
+ROADMAP's "serving story": a stdlib HTTP server (the live plane's
+:class:`~repro.obs.live.HTTPServerThread`, no web framework) in front
+of the durable queue, an in-process worker fleet, and the
+deduplicating artifact store.  Endpoints (all JSON unless noted)::
 
     GET  /healthz                        liveness + queue counts
     GET  /metrics                        Prometheus rollup folding every
@@ -38,12 +38,12 @@ import threading
 import typing
 import urllib.error
 import urllib.request
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from urllib.parse import parse_qs, unquote, urlparse
 
 from ..measure.experiment import registry
-from ..obs.live import SERVE_POLL_S
-from .queue import QUEUE_FILENAME, Job, JobQueue
+from ..obs.live import HTTPServerThread
+from .queue import QUEUE_FILENAME, Job, JobQueue, new_job_id
 from .schema import SpecError, normalize_spec, plan_from_spec
 from .store import ArtifactStore
 from .worker import ServeWorker
@@ -88,17 +88,11 @@ class ServeDaemon:
             for index in range(max(0, n_workers))
         ]
         self._worker_threads: typing.List[threading.Thread] = []
-        handler = _make_handler(self)
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
+        self._httpd = HTTPServerThread(
+            (host, port), _make_handler(self), "repro-serve-http"
+        )
         self.host = host
         self.port = self._httpd.server_address[1]
-        self._serve_thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            kwargs={"poll_interval": SERVE_POLL_S},
-            name="repro-serve-http",
-            daemon=True,
-        )
         self._started = False
 
     # ------------------------------------------------------------------
@@ -115,7 +109,7 @@ class ServeDaemon:
         # module) before /healthz answers, not inside the first submit.
         registry()
         self._started = True
-        self._serve_thread.start()
+        self._httpd.start()
         for worker in self._workers:
             thread = threading.Thread(
                 target=worker.run_forever,
@@ -129,8 +123,9 @@ class ServeDaemon:
 
     def close(self) -> None:
         self._stop.set()
-        self._httpd.shutdown()
-        self._httpd.server_close()
+        for worker in self._workers:
+            worker.wake()
+        self._httpd.close()
         for thread in self._worker_threads:
             thread.join(timeout=5.0)
         self.queue.close()
@@ -153,17 +148,24 @@ class ServeDaemon:
         return self.tokens.get(token)
 
     def submit(self, spec: typing.Mapping, tenant: str) -> Job:
-        """Validate, plan, and enqueue one campaign spec."""
+        """Validate, plan, and enqueue one campaign spec, then wake the
+        idle in-process workers to lease it."""
         normalized = normalize_spec(spec)  # raises SpecError with details
         plan = plan_from_spec(normalized)
+        # spec.json goes to disk before the row exists, so no worker in
+        # any process can lease a job whose spec is not written yet.
+        job_id = new_job_id()
+        self.store.write_spec(tenant, job_id, normalized)
         job = self.queue.submit(
             normalized,
             tenant=tenant,
             campaign_id=plan.campaign_id,
             n_tasks=len(plan),
             priority=normalized["priority"],
+            job_id=job_id,
         )
-        self.store.write_spec(tenant, job.id, normalized)
+        for worker in self._workers:
+            worker.wake()
         return job
 
     def job_view(self, job: Job) -> dict:

@@ -149,8 +149,14 @@ class ServeClient:
         poll_s: float = 0.25,
         on_poll: typing.Optional[typing.Callable[[dict], None]] = None,
     ) -> dict:
-        """Poll until the job reaches a terminal state."""
+        """Poll until the job reaches a terminal state.
+
+        The first pause is 20 ms and each one doubles, up to ``poll_s``,
+        so a job that takes tens of milliseconds (a resubmit that is all
+        cache hits) is seen within tens of milliseconds.
+        """
         deadline = time.monotonic() + timeout_s
+        pause = 0.02
         while True:
             job = self.job(job_id)
             if on_poll is not None:
@@ -162,4 +168,5 @@ class ServeClient:
                     f"job {job_id} still {job.get('state')!r} "
                     f"after {timeout_s:.0f}s"
                 )
-            time.sleep(poll_s)
+            time.sleep(min(pause, poll_s))
+            pause *= 2

@@ -67,6 +67,10 @@ CREATE INDEX IF NOT EXISTS jobs_by_state
 """
 
 
+def new_job_id() -> str:
+    return "job-" + uuid.uuid4().hex[:12]
+
+
 @dataclasses.dataclass
 class Job:
     """One queued campaign, as the queue knows it."""
@@ -165,9 +169,14 @@ class JobQueue:
         n_tasks: int = 0,
         priority: int = 0,
         max_attempts: typing.Optional[int] = None,
+        job_id: typing.Optional[str] = None,
     ) -> Job:
-        """Enqueue a (already validated) campaign spec; returns the job."""
-        job_id = "job-" + uuid.uuid4().hex[:12]
+        """Enqueue a (already validated) campaign spec; returns the job.
+
+        ``job_id`` lets a caller write the job's files before its row
+        exists; by default the queue mints one (:func:`new_job_id`).
+        """
+        job_id = job_id or new_job_id()
         now = self._clock()
         with self._lock:
             self._db.execute(

@@ -11,9 +11,12 @@ back to the queue.
 Workers are location-transparent: the serve daemon runs a few as
 threads, and ``python -m repro worker --spool DIR`` joins the same
 fleet from another process (or machine sharing the spool) — the lease
-protocol, not process topology, provides mutual exclusion.  While a
-campaign runs, a heartbeat thread extends the job lease; a worker that
-dies simply stops heartbeating and the job is re-leased elsewhere.
+protocol, not process topology, provides mutual exclusion.  The daemon
+wakes its own idle workers on each submit; a worker in another process
+shares nothing but the spool, so it finds work by polling every
+``poll_s``.  While a campaign runs, a heartbeat thread extends the job
+lease; a worker that dies simply stops heartbeating and the job is
+re-leased elsewhere.
 
 Every artifact a job produces is stamped with correlation ids: the
 plan-derived ``campaign_id`` plus the queue's ``job_id`` ride in every
@@ -27,7 +30,6 @@ from __future__ import annotations
 import contextlib
 import os
 import threading
-import time
 import typing
 
 from ..runner import TelemetryWriter, run_campaign
@@ -68,6 +70,7 @@ class ServeWorker:
             self.spool, max_cache_bytes=max_cache_bytes
         )
         self.jobs_run = 0
+        self._wake = threading.Event()
 
     # ------------------------------------------------------------------
     # Loop
@@ -81,21 +84,32 @@ class ServeWorker:
         self.jobs_run += 1
         return self.queue.get(job.id)
 
+    def wake(self) -> None:
+        """End this worker's idle wait now: a job was submitted, or
+        ``stop`` was set."""
+        self._wake.set()
+
     def run_forever(
         self,
         stop: typing.Optional[threading.Event] = None,
         max_jobs: typing.Optional[int] = None,
     ) -> int:
-        """Poll-lease-run until ``stop`` is set (or ``max_jobs`` done)."""
+        """Lease and run jobs until ``stop`` is set (or ``max_jobs`` done).
+
+        An idle worker waits for :meth:`wake`, or at most ``poll_s``:
+        the timeout is how it finds jobs that no wake announces (those
+        submitted by another process, and those whose lease expired).
+        Whoever sets ``stop`` calls :meth:`wake` as well.
+        """
         done = 0
         while (stop is None or not stop.is_set()) and (
             max_jobs is None or done < max_jobs
         ):
+            # Clear before leasing, so a wake() that lands after an
+            # empty lease() still ends the wait below at once.
+            self._wake.clear()
             if self.run_once() is None:
-                if stop is not None:
-                    stop.wait(self.poll_s)
-                else:
-                    time.sleep(self.poll_s)
+                self._wake.wait(self.poll_s)
                 continue
             done += 1
         return done

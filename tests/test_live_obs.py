@@ -7,6 +7,7 @@ them by reference (same idiom as test_runner.py).
 import json
 import os
 import pickle
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -16,6 +17,7 @@ import pytest
 from repro.measure.experiment import register_experiment, unregister_experiment
 from repro.obs.live import LiveObsServer, active_live_server, live_server
 from repro.runner import CampaignPlan, run_campaign, task_dump_filename
+from repro.serve import ServeDaemon
 from repro.simcore import Simulator
 
 from tests.conftest import keep_alive_seconds
@@ -214,13 +216,26 @@ def test_close_is_idempotent():
     server.close()
 
 
-def test_close_returns_promptly():
-    """close() must not wait out serve_forever's poll (0.5 s by default)."""
+def test_close_returns_promptly(tmp_path):
+    """A live plane attached beside a serve daemon with idle in-process
+    workers closes at once: its serve loop has no poll to wait out."""
+    with ServeDaemon(tmp_path / "spool", n_workers=2):
+        with live_server(port=0) as server:
+            time.sleep(0.05)
+            started = time.perf_counter()
+        assert server.closed
+        assert time.perf_counter() - started < 0.2
+
+
+def test_close_wakes_a_blocked_serve_loop():
+    """The serve loop blocks in select() with no timeout; close() must
+    wake it instead of waiting for a request that never comes."""
     server = LiveObsServer(port=0)
-    time.sleep(0.05)
-    started = time.perf_counter()
-    server.close()
-    assert time.perf_counter() - started < 0.2
+    time.sleep(0.05)  # the loop is blocked in select()
+    closer = threading.Thread(target=server.close, daemon=True)
+    closer.start()
+    closer.join(timeout=5.0)
+    assert not closer.is_alive()
 
 
 def test_nested_live_server_restores_previous():

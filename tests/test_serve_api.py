@@ -17,7 +17,8 @@ import pytest
 from repro.cli import main
 from repro.measure.experiment import register_experiment, unregister_experiment
 from repro.obs.live import live_server
-from repro.serve import ServeApiError, ServeClient, ServeDaemon
+from repro.serve import JobQueue, ServeApiError, ServeClient, ServeDaemon
+from repro.serve.api import DEFAULT_TENANT
 from repro.serve.schema import (
     SpecError,
     normalize_spec,
@@ -270,12 +271,70 @@ def test_keep_alive_requests_do_not_stall(daemon):
 
 
 def test_close_returns_promptly(tmp_path):
-    """close() must not wait out serve_forever's poll (0.5 s by default)."""
-    daemon = ServeDaemon(tmp_path / "spool", n_workers=0, live_workers=False).start()
-    time.sleep(0.05)
-    started = time.perf_counter()
-    daemon.close()
-    assert time.perf_counter() - started < 0.2
+    """close() wakes its idle workers, whose poll_s (0.25 s) would
+    exceed the bound, and its serve loop, which has no poll to wait out,
+    while a live plane is attached."""
+    daemon = ServeDaemon(tmp_path / "spool", n_workers=2).start()
+    with live_server(port=0):
+        time.sleep(0.05)  # both workers found the queue empty and wait
+        started = time.perf_counter()
+        daemon.close()
+        assert time.perf_counter() - started < 0.2
+    daemon.close()  # a second close does nothing
+
+
+# ----------------------------------------------------------------------
+# Jobs start when submitted
+# ----------------------------------------------------------------------
+def _daemon_polling_every_30_s(spool) -> ServeDaemon:
+    daemon = ServeDaemon(spool, n_workers=1, live_workers=False)
+    for worker in daemon._workers:
+        worker.poll_s = 30.0
+    return daemon
+
+
+def test_submit_wakes_an_idle_worker(tmp_path):
+    """The job is leased when it is submitted, not at the next poll."""
+    with _daemon_polling_every_30_s(tmp_path / "spool") as daemon:
+        client = ServeClient(daemon.url)
+        time.sleep(0.05)  # the worker found the queue empty and waits
+        done = client.wait(client.submit(SPEC)["id"], timeout_s=5)
+        assert done["state"] == "done"
+
+
+def test_a_submit_right_after_an_empty_lease_is_not_lost(tmp_path, monkeypatch):
+    """A submit that lands between a worker's empty lease() and its wait
+    still ends that wait at once."""
+    daemon = _daemon_polling_every_30_s(tmp_path / "spool")
+    lease = JobQueue.lease
+    submitted = []
+
+    def lease_then_submit(queue, owner, lease_s):
+        job = lease(queue, owner, lease_s)
+        if job is None and not submitted:
+            submitted.append(daemon.submit(SPEC, DEFAULT_TENANT))
+        return job
+
+    monkeypatch.setattr(JobQueue, "lease", lease_then_submit)
+    with daemon:
+        deadline = time.monotonic() + 5
+        while not submitted and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert submitted
+        done = ServeClient(daemon.url).wait(submitted[0].id, timeout_s=5)
+        assert done["state"] == "done"
+
+
+def test_every_resubmit_lists_its_spec_and_no_temporary_file(client):
+    """A job is leased only once its spec.json is on disk, so the
+    artifact list a worker takes at the end of a fast job holds it."""
+    client.wait(client.submit(SPEC)["id"], timeout_s=60)
+    for _ in range(20):
+        job = client.wait(client.submit(SPEC)["id"], timeout_s=60)
+        assert job["summary"]["executed"] == 0
+        artifacts = job["summary"]["artifacts"]
+        assert "spec.json" in artifacts
+        assert not [name for name in artifacts if ".tmp." in name], artifacts
 
 
 def test_live_proxy_conflict_when_no_live_plane(client):

@@ -23,6 +23,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 
 import pytest
@@ -182,4 +183,25 @@ def test_zombie_worker_cannot_clobber_the_healed_result(tmp_path):
     assert final.state == "done"
     assert final.summary["succeeded"] == 2
     zombie.close()
+    queue.close()
+
+
+def test_a_worker_that_shares_only_the_spool_polls_for_jobs(tmp_path):
+    """No wake crosses queue handles: a worker on its own handle (as in
+    a ``repro worker`` process) leases another handle's job by polling."""
+    spool = str(tmp_path / "spool")
+    queue = JobQueue(os.path.join(spool, QUEUE_FILENAME))
+    worker = ServeWorker(spool, poll_s=0.05)
+    assert worker.queue is not queue
+    thread = threading.Thread(
+        target=worker.run_forever, kwargs={"max_jobs": 1}, daemon=True
+    )
+    thread.start()
+    time.sleep(0.1)  # the worker has found the queue empty and waits
+    job = _submit(queue)
+    thread.join(timeout=10.0)
+    assert not thread.is_alive()
+    assert worker.jobs_run == 1
+    assert queue.get(job.id).state == "done"
+    worker.queue.close()
     queue.close()
