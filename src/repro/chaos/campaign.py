@@ -180,7 +180,7 @@ def build_chaos_plan(
 RUNNER_OPTIONS = frozenset(
     {
         "parallel", "max_workers", "timeout_s", "max_retries", "cache_dir",
-        "use_cache", "telemetry_path", "metrics_dir", "collect_obs",
+        "telemetry_path", "metrics_dir", "collect_obs",
     }
 )
 

@@ -687,7 +687,6 @@ def _runner_options(args) -> dict:
         timeout_s=args.timeout,
         max_retries=args.retries,
         cache_dir=None if args.no_cache else args.cache_dir,
-        use_cache=not args.no_cache,
         telemetry_path=args.telemetry,
         metrics_dir=args.metrics_out,
         collect_obs=args.profile,

@@ -153,7 +153,7 @@ def run_user_sweep(
         and active_collector() is None
     )
     campaign = run_campaign(
-        specs, parallel=parallel, max_retries=0, use_cache=False, cache_dir=None
+        specs, parallel=parallel, max_retries=0, cache_dir=None
     )
     if campaign.failures:
         failure = campaign.failures[0]

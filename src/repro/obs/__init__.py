@@ -13,8 +13,9 @@ instruments at the reproduction itself:
   :mod:`repro.capture.timeseries`;
 * :mod:`.export` — JSONL (campaign-telemetry shaped), Prometheus text,
   and human tables;
-* :mod:`.context` — process-local collection so the campaign runner and
-  CLI can observe experiments that build their own simulators.
+* :mod:`.context` — collection scoped to the running thread, so the
+  campaign runner and CLI can observe experiments that build their own
+  simulators.
 
 Observability is **opt-in**: by default every Simulator carries the
 shared no-op :data:`NULL_OBS`, so instrumented hot paths cost a single

@@ -1,4 +1,4 @@
-"""Process-local observability collection for whole experiments.
+"""Observability collection for whole experiments, scoped to a context.
 
 Experiments build their own :class:`~repro.simcore.kernel.Simulator`
 instances internally, so callers (the campaign runner, the CLI) cannot
@@ -9,29 +9,37 @@ a collector::
         result = run_experiment("throughput")
     dump = collector.merged_dump()
 
-While a collector is active, every ``Simulator()`` constructed in this
-process (the worker running the task) gets an *enabled* observability
-instance and registers it with the collector — a full one, or a
-metrics-only one under ``collect(trace=False)``; with no collector active,
-simulators default to the shared no-op :data:`NULL_OBS` and the whole
-layer costs one attribute check per call site.  Collection is
-process-local state, which is exactly the isolation the campaign
-executor needs: each worker process collects only its own task.
+While a collector is active, every ``Simulator()`` constructed in the
+same context (the thread running the task, or the worker process it
+was forked into) gets an *enabled* observability instance and registers
+it with the collector — a full one, or a metrics-only one under
+``collect(trace=False)``; with no collector active, simulators default
+to the shared no-op :data:`NULL_OBS` and the whole layer costs one
+attribute check per call site.
+
+The active collector and the active live plane (:mod:`repro.obs.live`)
+are context variables (:mod:`contextvars`), so each thread owns its
+own: two serve jobs running on two worker threads collect only their
+own simulations and feed only their own planes.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import typing
 
 from .metrics import NULL_REGISTRY, MetricsRegistry
 from .trace import NULL_TRACER, Tracer
 
-_ACTIVE_COLLECTOR: typing.Optional["ObsCollector"] = None
-#: The :class:`~repro.obs.live.LiveObsServer` that campaigns feed, set by
-#: :func:`repro.obs.live.live_server`.  It lives here so that checking
-#: for it imports no HTTP server.
-_ACTIVE_LIVE_SERVER = None
+_COLLECTOR: contextvars.ContextVar = contextvars.ContextVar(
+    "repro_obs_collector", default=None
+)
+#: The :class:`~repro.obs.live.LivePlane` that campaigns feed.  It lives
+#: here so that checking for it imports no HTTP server.
+_LIVE_PLANE: contextvars.ContextVar = contextvars.ContextVar(
+    "repro_live_plane", default=None
+)
 
 
 class Observability:
@@ -154,13 +162,14 @@ class ObsCollector:
 
 
 def active_collector() -> typing.Optional[ObsCollector]:
-    return _ACTIVE_COLLECTOR
+    return _COLLECTOR.get()
 
 
 def observability_for_new_simulator():
     """What ``Simulator.__init__`` uses when no obs was passed."""
-    if _ACTIVE_COLLECTOR is not None:
-        return _ACTIVE_COLLECTOR.new_observability()
+    collector = _COLLECTOR.get()
+    if collector is not None:
+        return collector.new_observability()
     return NULL_OBS
 
 
@@ -168,16 +177,25 @@ def observability_for_new_simulator():
 def collect(max_trace_events: typing.Optional[int] = None, trace: bool = True):
     """Enable observability for every Simulator built in this block
     (metrics only with ``trace=False``)."""
-    global _ACTIVE_COLLECTOR
-    previous = _ACTIVE_COLLECTOR
     collector = ObsCollector(max_trace_events=max_trace_events, trace=trace)
-    _ACTIVE_COLLECTOR = collector
+    token = _COLLECTOR.set(collector)
     try:
         yield collector
     finally:
-        _ACTIVE_COLLECTOR = previous
+        _COLLECTOR.reset(token)
 
 
 def active_live_server():
-    """The live server the current campaign should feed, if any."""
-    return _ACTIVE_LIVE_SERVER
+    """The live plane that campaigns run in this context feed, if any."""
+    return _LIVE_PLANE.get()
+
+
+@contextlib.contextmanager
+def live_plane(plane):
+    """Make ``plane`` the one that campaigns run in this block feed;
+    ``live_plane(None)`` hides the active one."""
+    token = _LIVE_PLANE.set(plane)
+    try:
+        yield plane
+    finally:
+        _LIVE_PLANE.reset(token)

@@ -1,27 +1,31 @@
-"""Live campaign observability: an in-parent HTTP plane over a run.
+"""Live campaign observability: an HTTP plane over a running campaign.
 
 MetaVRadar (PAPERS.md) watches live flows continuously rather than
-post-hoc; this module gives campaigns the same property.  While a
-campaign runs, a :class:`LiveObsServer` thread in the parent process
-serves:
+post-hoc; this module gives campaigns the same property.  A
+:class:`LivePlane` holds one run's live view, which :func:`respond`
+serves on three routes:
 
-* ``GET /metrics``   — Prometheus text exposition of the cross-worker
+* ``GET /metrics``   — Prometheus text exposition of the campaign's
   aggregated registry (folded by :mod:`repro.obs.fleet`), plus
   ``repro_campaign_*`` progress gauges;
 * ``GET /progress``  — JSON: tasks done/running/failed, cache hits,
   retries, elapsed and ETA seconds, and the campaign summary once the
   run finishes;
 * ``GET /events``    — Server-Sent-Events tail of runner telemetry
-  (``?limit=N`` closes the stream after N events — handy for curl);
-* ``GET /healthz``   — liveness probe.
+  (``?limit=N`` closes the stream after N events — handy for curl).
 
-Workers stream end-of-task metric deltas and progress markers over a
-multiprocessing queue (inherited via fork; see
-:func:`repro.runner.executor.set_live_queue`); the parent additionally
-folds dumps at result-collection time, deduplicated per task, so the
-plane works even where fork is unavailable.  The whole plane is
-**read-only**: an observed-and-served campaign produces byte-identical
-results to an unobserved one (asserted by ``tests/test_live_obs.py``).
+A :class:`LiveObsServer` (``--live-port``, :func:`live_server`) serves
+them on its own port, plus ``GET /healthz``; the serve daemon answers
+each running job's ``/v1/jobs/<id>/live/*`` from that job's plane.
+
+A plane has one feed: :func:`repro.runner.run_campaign` listens to its
+own telemetry and folds each unit's registry as the executor returns
+that unit.  Units run with no plane visible, so neither a worker nor a
+campaign nested inside a unit feeds one.  The active plane is a context
+variable (:func:`repro.obs.context.live_plane`), so it belongs to the
+thread that opened it.  The whole plane is **read-only**: an observed
+campaign produces byte-identical results and registries to an
+unobserved one (asserted by ``tests/test_live_obs.py``).
 """
 
 from __future__ import annotations
@@ -45,17 +49,22 @@ from .fleet import FleetAggregator
 #: Telemetry events that mark a task as no longer running.
 _TERMINAL_TASK_EVENTS = ("task_end", "task_fail", "task_retry")
 
+#: Telemetry events a plane keeps for ``/events``; older ones drop off.
+MAX_BUFFERED_EVENTS = 4096
+
+#: The routes :func:`respond` answers.
+LIVE_ENDPOINTS = ("metrics", "progress", "events")
+
 
 class HTTPServerThread(ThreadingHTTPServer):
     """A :class:`ThreadingHTTPServer` on its own thread that closes at once.
 
     The stdlib's ``serve_forever`` wakes on a fixed poll to look for a
-    shutdown request, so a close can wait out one poll, and a serve
-    worker closes a live plane inside each job.  This loop instead
-    selects on the listening socket plus one end of a socketpair that
-    :meth:`close` writes to, the fix ``serve_forever``'s own comment
-    suggests.  The serve daemon's API and every :class:`LiveObsServer`
-    run on it.
+    shutdown request, so a close can wait out one poll.  This loop
+    instead selects on the listening socket plus one end of a socketpair
+    that :meth:`close` writes to, the fix ``serve_forever``'s own
+    comment suggests.  The serve daemon's API and every
+    :class:`LiveObsServer` run on it.
     """
 
     daemon_threads = True
@@ -105,37 +114,26 @@ class LivePortBusyError(OSError):
 def live_server(port: int = 0, host: str = "127.0.0.1"):
     """Run a :class:`LiveObsServer` for the duration of the block.
 
-    Any :func:`repro.runner.run_campaign` executed inside the block
-    (including nested ones, e.g. the shard campaign under ``scale``)
-    feeds it automatically.
+    Every :func:`repro.runner.run_campaign` that this thread runs inside
+    the block feeds it; campaigns nested inside a unit do not.
     """
-    server = LiveObsServer(port=port, host=host)
-    previous = context._ACTIVE_LIVE_SERVER
-    context._ACTIVE_LIVE_SERVER = server
-    try:
+    with LiveObsServer(port=port, host=host) as server, context.live_plane(server):
         yield server
-    finally:
-        context._ACTIVE_LIVE_SERVER = previous
-        server.close()
 
 
-class LiveObsServer:
-    """Aggregates a running campaign and serves it over HTTP."""
+class LivePlane:
+    """A run's live view: progress, the folded registry and a telemetry
+    tail, fed by each :func:`repro.runner.run_campaign` it is active
+    for."""
 
-    def __init__(
-        self,
-        port: int = 0,
-        host: str = "127.0.0.1",
-        max_buffered_events: int = 4096,
-    ) -> None:
+    def __init__(self) -> None:
         self.aggregator = FleetAggregator()
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._events: typing.Deque[typing.Tuple[int, dict]] = collections.deque(
-            maxlen=max_buffered_events
+            maxlen=MAX_BUFFERED_EVENTS
         )
         self._next_event_id = 0
-        self._merged_tasks: typing.Set[str] = set()
         self._running: typing.Set[str] = set()
         self._progress: typing.Dict[str, typing.Any] = {
             "campaign_id": None,
@@ -149,24 +147,9 @@ class LiveObsServer:
         }
         self._started_monotonic = time.monotonic()
         self._closed = False
-        self._queue = None
-        self._drain_thread: typing.Optional[threading.Thread] = None
-
-        handler = _make_handler(self)
-        try:
-            self._httpd = HTTPServerThread((host, port), handler, "repro-live-http")
-        except OSError as exc:
-            raise LivePortBusyError(
-                f"cannot serve live observability on {host}:{port} "
-                f"({exc.strerror or exc}); pick a different port, or use "
-                f"port 0 to let the OS choose a free one"
-            ) from exc
-        self.host = host
-        self.port = self._httpd.server_address[1]
-        self._httpd.start()
 
     # ------------------------------------------------------------------
-    # Feeding (called by the runner / telemetry / queue drain)
+    # Feeding (called by the runner and its telemetry)
     # ------------------------------------------------------------------
     def on_telemetry(self, record: dict) -> None:
         """TelemetryWriter listener: track progress, buffer for SSE."""
@@ -198,50 +181,11 @@ class LiveObsServer:
                 self._running.discard(record.get("task", "?"))
             self._append_event(dict(record))
 
-    def note_task_metrics(self, task_id: str, registry_dump: typing.Optional[dict]) -> None:
-        """Fold one task's mergeable registry dump (once per task)."""
-        if not registry_dump:
-            return
-        with self._cond:
-            if task_id in self._merged_tasks:
-                return
-            self._merged_tasks.add(task_id)
-            self.aggregator.add_dump(registry_dump)
-
-    def attach_queue(self, queue) -> None:
-        """Drain a worker stream (progress + metric deltas) in a thread."""
-        self._queue = queue
-        self._drain_thread = threading.Thread(
-            target=self._drain, name="repro-live-drain", daemon=True
-        )
-        self._drain_thread.start()
-
-    def _drain(self) -> None:
-        import queue as queue_module
-
-        while True:
-            try:
-                item = self._queue.get(timeout=0.25)
-            except queue_module.Empty:
-                if self._closed:
-                    return
-                continue
-            except (EOFError, OSError):  # queue torn down under us
-                return
-            if item is None:
-                return
-            kind = item.get("kind")
-            if kind == "task_metrics":
-                self.note_task_metrics(item.get("task", "?"), item.get("registry"))
-            with self._cond:
-                self._append_event(
-                    {
-                        "event": kind,
-                        "task": item.get("task"),
-                        "pid": item.get("pid"),
-                        "wall_time_s": item.get("wall_time_s"),
-                    }
-                )
+    def fold(self, registry_dump: typing.Optional[dict]) -> None:
+        """Fold one unit's mergeable registry dump into ``/metrics``."""
+        if registry_dump:
+            with self._lock:
+                self.aggregator.add_dump(registry_dump)
 
     def _append_event(self, record: dict) -> None:
         """Buffer one SSE event; caller holds the lock."""
@@ -251,12 +195,8 @@ class LiveObsServer:
         self._cond.notify_all()
 
     # ------------------------------------------------------------------
-    # Serving (called by the HTTP handler threads)
+    # Reading (called by the HTTP handler threads)
     # ------------------------------------------------------------------
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
     def render_metrics(self) -> str:
         with self._lock:
             registry = self.aggregator.merged_registry()
@@ -323,25 +263,102 @@ class LiveObsServer:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        if self._queue is not None:
-            try:
-                self._queue.put(None)
-            except Exception:  # noqa: BLE001 - queue may already be gone
-                pass
-        if self._drain_thread is not None:
-            self._drain_thread.join(timeout=2.0)
+        """End every open ``/events`` stream; idempotent."""
         with self._cond:
+            self._closed = True
             self._cond.notify_all()
-        self._httpd.close()
 
-    def __enter__(self) -> "LiveObsServer":
+    def __enter__(self) -> "LivePlane":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+class LiveObsServer(LivePlane):
+    """A :class:`LivePlane` served over HTTP on its own port."""
+
+    def __init__(self, port: int = 0, host: str = "127.0.0.1") -> None:
+        super().__init__()
+        try:
+            self._httpd = HTTPServerThread(
+                (host, port), _make_handler(self), "repro-live-http"
+            )
+        except OSError as exc:
+            raise LivePortBusyError(
+                f"cannot serve live observability on {host}:{port} "
+                f"({exc.strerror or exc}); pick a different port, or use "
+                f"port 0 to let the OS choose a free one"
+            ) from exc
+        self.host = host
+        self.port = self._httpd.server_address[1]
+        self._httpd.start()
+
+    @property
+    def url(self) -> str:
+        return f"http://{self.host}:{self.port}"
+
+    def close(self) -> None:
+        super().close()
+        self._httpd.close()
+
+
+def respond(
+    plane: LivePlane, handler: BaseHTTPRequestHandler, endpoint: str, query: str
+) -> None:
+    """Answer ``GET /<endpoint>?<query>`` from ``plane`` on ``handler``;
+    ``endpoint`` is one of :data:`LIVE_ENDPOINTS`.  Both the
+    :class:`LiveObsServer` and the serve daemon answer through it."""
+    if endpoint == "metrics":
+        _send_text(handler, plane.render_metrics(), "text/plain; version=0.0.4")
+    elif endpoint == "progress":
+        body = json.dumps(plane.progress_snapshot(), sort_keys=True)
+        _send_text(handler, body + "\n", "application/json")
+    else:
+        _stream_events(plane, handler, parse_qs(query))
+
+
+def _send_text(handler: BaseHTTPRequestHandler, body: str, content_type: str) -> None:
+    payload = body.encode()
+    handler.send_response(200)
+    handler.send_header("Content-Type", content_type)
+    handler.send_header("Content-Length", str(len(payload)))
+    handler.end_headers()
+    handler.wfile.write(payload)
+
+
+def _stream_events(
+    plane: LivePlane, handler: BaseHTTPRequestHandler, query: dict
+) -> None:
+    try:
+        limit = int(query.get("limit", [0])[0])
+        last_id = int(query.get("since", [-1])[0])
+    except ValueError:
+        handler.send_error(400, "limit and since must be integers")
+        return
+    handler.send_response(200)
+    handler.send_header("Content-Type", "text/event-stream")
+    handler.send_header("Cache-Control", "no-cache")
+    handler.send_header("Connection", "close")
+    handler.end_headers()
+    sent = 0
+    while True:
+        fresh, newest = plane.events_since(last_id)
+        for event_id, record in fresh:
+            frame = (
+                f"id: {event_id}\n"
+                f"data: {json.dumps(record, sort_keys=True)}\n\n"
+            )
+            handler.wfile.write(frame.encode())
+            last_id = event_id
+            sent += 1
+            if limit and sent >= limit:
+                handler.wfile.flush()
+                return
+        handler.wfile.flush()
+        if not plane.wait_for_events(last_id, timeout=0.5):
+            if plane.closed:
+                return
 
 
 def _make_handler(server: LiveObsServer):
@@ -357,59 +374,15 @@ def _make_handler(server: LiveObsServer):
 
         def do_GET(self) -> None:  # noqa: N802 - http.server API
             parsed = urlparse(self.path)
-            route = parsed.path.rstrip("/") or "/"
+            endpoint = parsed.path.rstrip("/")[1:]
             try:
-                if route == "/metrics":
-                    self._send_text(server.render_metrics(), "text/plain; version=0.0.4")
-                elif route == "/progress":
-                    body = json.dumps(server.progress_snapshot(), sort_keys=True)
-                    self._send_text(body + "\n", "application/json")
-                elif route in ("/", "/healthz"):
-                    self._send_text("ok\n", "text/plain")
-                elif route == "/events":
-                    self._stream_events(parse_qs(parsed.query))
+                if endpoint in LIVE_ENDPOINTS:
+                    respond(server, self, endpoint, parsed.query)
+                elif endpoint in ("", "healthz"):
+                    _send_text(self, "ok\n", "text/plain")
                 else:
                     self.send_error(404, "unknown route")
             except (BrokenPipeError, ConnectionResetError):  # client left
                 pass
-
-        def _send_text(self, body: str, content_type: str) -> None:
-            payload = body.encode()
-            self.send_response(200)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
-
-        def _stream_events(self, query: dict) -> None:
-            try:
-                limit = int(query.get("limit", [0])[0])
-                last_id = int(query.get("since", [-1])[0])
-            except ValueError:
-                self.send_error(400, "limit and since must be integers")
-                return
-            self.send_response(200)
-            self.send_header("Content-Type", "text/event-stream")
-            self.send_header("Cache-Control", "no-cache")
-            self.send_header("Connection", "close")
-            self.end_headers()
-            sent = 0
-            while True:
-                fresh, newest = server.events_since(last_id)
-                for event_id, record in fresh:
-                    frame = (
-                        f"id: {event_id}\n"
-                        f"data: {json.dumps(record, sort_keys=True)}\n\n"
-                    )
-                    self.wfile.write(frame.encode())
-                    last_id = event_id
-                    sent += 1
-                    if limit and sent >= limit:
-                        self.wfile.flush()
-                        return
-                self.wfile.flush()
-                if not server.wait_for_events(last_id, timeout=0.5):
-                    if server.closed:
-                        return
 
     return _Handler

@@ -38,7 +38,7 @@ import typing
 
 from ..obs.context import active_live_server
 from .cache import ResultCache
-from .executor import CampaignExecutor, TaskResult, set_live_queue
+from .executor import CampaignExecutor, TaskResult
 from .plan import (
     CampaignPlan,
     TaskSpec,
@@ -166,7 +166,6 @@ def run_campaign(
     max_retries: int = 2,
     backoff_s: float = 0.05,
     cache_dir: typing.Optional[str] = None,
-    use_cache: bool = True,
     telemetry: typing.Optional[TelemetryWriter] = None,
     telemetry_path: typing.Optional[str] = None,
     collect_obs: bool = False,
@@ -174,12 +173,12 @@ def run_campaign(
 ) -> CampaignResult:
     """Run every task of ``plan``, reusing cached results for the delta.
 
-    ``cache_dir=None`` disables the cache entirely (as does
-    ``use_cache=False`` — the CLI's ``--no-cache``); with a cache, a
-    re-run of an unchanged plan performs zero task executions.  Failed
-    tasks are retried ``max_retries`` times and then recorded as
-    failures without aborting the campaign; inspect
-    ``result.failures`` or ``result.summary.ok``.
+    ``cache_dir=None`` disables the cache entirely (the CLI's
+    ``--no-cache``); with a cache, a re-run of an unchanged plan
+    performs zero task executions.  Failed tasks are retried
+    ``max_retries`` times and then recorded as failures without
+    aborting the campaign; inspect ``result.failures`` or
+    ``result.summary.ok``.
 
     Tasks still to run after the cache lookup that share a simulation
     (:func:`~repro.runner.plan.group_units`) run as one unit: one pool
@@ -201,11 +200,15 @@ def run_campaign(
     aggregate (byte-identical for any worker count).  Cached results
     carry no metrics — they were not re-executed.
 
-    When a :func:`repro.obs.live.live_server` block is active, the run
-    additionally streams progress events and each unit's metrics to it;
-    without ``collect_obs`` or ``metrics_dir`` it collects metrics only
-    (no trace, no callback profile).  The live plane is read-only, so
-    results are byte-identical whether or not it is attached.
+    Each unit is finished as the executor returns it: its cache
+    entries and dump are written, and its registry is folded into the
+    active live plane (:func:`repro.obs.live.live_server`, or a serve
+    job's plane), which also follows the run's telemetry.  On the
+    serial path that happens before the next unit starts.  A plane
+    alone collects metrics only (no trace, no callback profile).  Units
+    run with no plane visible, so a campaign nested inside a unit feeds
+    none, and the plane is read-only: results and the campaign registry
+    are byte-identical whether or not it is attached.
     """
     tasks = list(plan)
     campaign_id = campaign_id_for(tasks)
@@ -217,9 +220,7 @@ def run_campaign(
     live = active_live_server()
     if live is not None:
         telemetry.add_listener(live.on_telemetry)
-    cache = None
-    if use_cache and cache_dir is not None:
-        cache = ResultCache(cache_dir)
+    cache = None if cache_dir is None else ResultCache(cache_dir)
     started = time.monotonic()
     telemetry.emit(
         "campaign_start",
@@ -256,57 +257,32 @@ def run_campaign(
         collect_obs=collect_obs or live is not None,
         trace=collect_obs,
     )
-    live_queue = None
-    if live is not None and to_run:
-        # Workers stream end-of-task metric deltas over this queue;
-        # fork-started pools inherit it through the module global.  On
-        # other start methods the parent-side fold below still feeds
-        # the aggregator, just at result-collection time.
-        import multiprocessing
-
-        context = multiprocessing.get_context(executor.start_method)
-        live_queue = context.Queue()
-        set_live_queue(live_queue)
-        live.attach_queue(live_queue)
     dump_names: typing.Dict[str, str] = {}
-    try:
-        if to_run:
-            units = [
-                [to_run[position] for position in unit]
-                for unit in group_units([task for _, task in to_run])
-            ]
-            specs = [[task for _, task in unit] for unit in units]
-            if parallel:
-                executed = executor.run(specs, telemetry)
-            else:
-                executed = executor.run_serial(specs, telemetry)
-            for unit, unit_results in zip(units, executed):
-                dump_name = None
-                for (index, _), task_result in zip(unit, unit_results):
-                    results[index] = task_result
-                    if cache is not None and task_result.ok:
-                        cache.put(
-                            task_result.spec, task_result.value,
-                            task_result.wall_time_s,
+    if to_run:
+        units = [
+            [to_run[position] for position in unit]
+            for unit in group_units([task for _, task in to_run])
+        ]
+        specs = [[task for _, task in unit] for unit in units]
+        run = executor.run if parallel else executor.run_serial
+        for position, unit_results in run(specs, telemetry):
+            dump_name = None
+            for (index, _), task_result in zip(units[position], unit_results):
+                results[index] = task_result
+                if cache is not None and task_result.ok:
+                    cache.put(
+                        task_result.spec, task_result.value, task_result.wall_time_s
+                    )
+                if task_result.metrics is not None:
+                    task_result.metrics["campaign_id"] = campaign_id
+                    if live is not None:
+                        live.fold(task_result.metrics.get("registry"))
+                    if metrics_dir is not None:
+                        dump_name = os.path.basename(
+                            _write_task_metrics(metrics_dir, task_result, telemetry)
                         )
-                    if task_result.metrics is not None:
-                        task_result.metrics["campaign_id"] = campaign_id
-                        if live is not None:
-                            live.note_task_metrics(
-                                task_result.spec.task_id,
-                                task_result.metrics.get("registry"),
-                            )
-                        if metrics_dir is not None:
-                            dump_name = os.path.basename(
-                                _write_task_metrics(
-                                    metrics_dir, task_result, telemetry
-                                )
-                            )
-                    if dump_name is not None:
-                        dump_names[task_result.spec.task_id] = dump_name
-    finally:
-        if live_queue is not None:
-            set_live_queue(None)
+                if dump_name is not None:
+                    dump_names[task_result.spec.task_id] = dump_name
 
     final = typing.cast(typing.List[TaskResult], results)
     if metrics_dir is not None:

@@ -39,6 +39,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 
 from ..obs.context import collect as _collect_obs
+from ..obs.context import live_plane as _live_plane
 from .plan import TaskSpec, execute_unit
 from .telemetry import TelemetryWriter
 
@@ -49,31 +50,6 @@ from .telemetry import TelemetryWriter
 #: are accounted in ``trace.dropped``) while aggregate counters and
 #: histograms — which are never truncated — carry the totals.
 CAMPAIGN_TRACE_EVENTS = 2_000
-
-#: Live-observability stream (a multiprocessing queue), inherited by
-#: forked workers.  Set by :func:`set_live_queue` in the parent before
-#: the pool is built; workers push progress events and end-of-task
-#: metric deltas onto it for the in-parent aggregator thread.  Strictly
-#: write-only from the task's perspective: pushing happens after the
-#: result is computed, so a streamed run is byte-identical to a silent
-#: one.
-_LIVE_QUEUE = None
-
-
-def set_live_queue(queue) -> None:
-    """Install (or clear, with ``None``) the live stream for workers."""
-    global _LIVE_QUEUE
-    _LIVE_QUEUE = queue
-
-
-def _live_put(payload: dict) -> None:
-    if _LIVE_QUEUE is None:
-        return
-    try:
-        _LIVE_QUEUE.put(payload)
-    except Exception:  # noqa: BLE001 - the live plane must never break a task
-        pass
-
 
 @dataclasses.dataclass(frozen=True)
 class _WorkerReply:
@@ -91,40 +67,28 @@ def _execute_in_worker(
     """Module-level so it pickles by reference into worker processes.
 
     With ``collect_obs`` the unit runs under one collector, full or
-    (``trace=False``) metrics only, so it yields one dump.
+    (``trace=False``) metrics only, so it yields one dump.  The unit
+    runs with no live plane visible: only the campaign that submitted
+    it folds its registry, so a campaign nested inside the unit feeds
+    no plane and leaves collection to the unit's collector.
     """
-    pid = os.getpid()
-    for spec in unit:
-        _live_put({"kind": "task_running", "task": spec.task_id, "pid": pid})
     started = time.perf_counter()
     metrics = None
-    if collect_obs:
-        # Observability collection is process-local, so each worker
-        # observes exactly the simulators its own unit builds.
-        with _collect_obs(
-            max_trace_events=CAMPAIGN_TRACE_EVENTS, trace=trace
-        ) as collector:
+    with _live_plane(None):
+        if collect_obs:
+            # Each unit observes exactly the simulators it builds.
+            with _collect_obs(
+                max_trace_events=CAMPAIGN_TRACE_EVENTS, trace=trace
+            ) as collector:
+                results = execute_unit(unit)
+            metrics = collector.merged_dump()
+            # The mergeable registry form rides along with the dump: it
+            # is what repro.obs.fleet folds into the campaign registry.
+            metrics["registry"] = collector.fleet_dump(source=unit[0].task_id)
+            metrics["task_id"] = unit[0].task_id
+        else:
             results = execute_unit(unit)
-        metrics = collector.merged_dump()
-        # The mergeable registry form rides along with the dump: it is
-        # what repro.obs.fleet folds into the campaign-level registry.
-        metrics["registry"] = collector.fleet_dump(source=unit[0].task_id)
-        metrics["task_id"] = unit[0].task_id
-    else:
-        results = execute_unit(unit)
-    wall = time.perf_counter() - started
-    if _LIVE_QUEUE is not None:
-        for index, spec in enumerate(unit):
-            payload = {
-                "kind": "task_metrics",
-                "task": spec.task_id,
-                "pid": pid,
-                "wall_time_s": round(wall / len(unit), 6),
-            }
-            if metrics is not None and index == 0:
-                payload["registry"] = metrics["registry"]
-            _live_put(payload)
-    return _WorkerReply(pid, wall, results, metrics)
+    return _WorkerReply(os.getpid(), time.perf_counter() - started, results, metrics)
 
 
 @dataclasses.dataclass
@@ -201,7 +165,6 @@ class CampaignExecutor:
         timeout_s: typing.Optional[float] = None,
         max_retries: int = 2,
         backoff_s: float = 0.05,
-        start_method: typing.Optional[str] = None,
         collect_obs: bool = False,
         trace: bool = True,
     ) -> None:
@@ -213,13 +176,11 @@ class CampaignExecutor:
         #: metrics only.
         self.collect_obs = collect_obs
         self.trace = trace
-        if start_method is None:
-            # fork keeps dynamically registered experiments (test stubs,
-            # notebook one-offs) visible in workers; fall back where the
-            # platform has no fork.
-            available = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in available else available[0]
-        self.start_method = start_method
+        # fork keeps dynamically registered experiments (test stubs,
+        # notebook one-offs) visible in workers; fall back where the
+        # platform has no fork.
+        available = multiprocessing.get_all_start_methods()
+        self.start_method = "fork" if "fork" in available else available[0]
         self.retries = 0  # total retry events across the last run
 
     # ------------------------------------------------------------------
@@ -229,14 +190,14 @@ class CampaignExecutor:
         self,
         units: typing.Sequence[typing.Sequence[TaskSpec]],
         telemetry: TelemetryWriter,
-    ) -> typing.List[typing.List[TaskResult]]:
+    ) -> typing.Iterator[typing.Tuple[int, typing.List[TaskResult]]]:
         """Execute in order, in-process — the reference the parallel
         path must reproduce bit-for-bit (same retry policy, no
-        timeout enforcement: there is no worker to reclaim).  Returns
-        each unit's results, in unit order."""
+        timeout enforcement: there is no worker to reclaim).  Yields
+        ``(unit index, results)`` as each unit returns, before the next
+        one starts."""
         self.retries = 0
-        results = []
-        for unit in units:
+        for index, unit in enumerate(units):
             attempt = 1
             while True:
                 _emit_starts(unit, attempt, telemetry)
@@ -252,13 +213,10 @@ class CampaignExecutor:
                         attempt += 1
                         continue
                     wall = (time.perf_counter() - started) / len(unit)
-                    results.append(
-                        self._failures(unit, reason, attempt, telemetry, wall)
-                    )
+                    yield index, self._failures(unit, reason, attempt, telemetry, wall)
                     break
-                results.append(_unit_results(unit, reply, attempt, telemetry))
+                yield index, _unit_results(unit, reply, attempt, telemetry)
                 break
-        return results
 
     # ------------------------------------------------------------------
     # Parallel path
@@ -267,22 +225,30 @@ class CampaignExecutor:
         self,
         units: typing.Sequence[typing.Sequence[TaskSpec]],
         telemetry: TelemetryWriter,
-    ) -> typing.List[typing.List[TaskResult]]:
-        """Execute over the pool; returns each unit's results, in unit
-        order."""
+    ) -> typing.Iterator[typing.Tuple[int, typing.List[TaskResult]]]:
+        """Execute over the pool; yields ``(unit index, results)`` as
+        each unit's future is collected, after topping up the pool."""
         self.retries = 0
         pending: typing.Deque[_Attempt] = collections.deque(
             _Attempt(index, unit) for index, unit in enumerate(units)
         )
         inflight: typing.Dict[typing.Any, typing.Tuple[_Attempt, float]] = {}
-        results: typing.Dict[int, typing.List[TaskResult]] = {}
+        # Units that returned and are not yet yielded, in return order.
+        finished: typing.Deque[typing.Tuple[int, typing.List[TaskResult]]] = (
+            collections.deque()
+        )
+        left = len(units)
         pool = self._new_pool()
         try:
-            while len(results) < len(units):
+            while left:
                 now = time.monotonic()
                 if not self._submit_ready(pool, pending, inflight, telemetry, now):
                     # The pool broke while submitting.
-                    pool = self._rebuild(pool, inflight, results, pending, telemetry)
+                    pool = self._rebuild(pool, inflight, finished, pending, telemetry)
+                    continue
+                if finished:
+                    left -= 1
+                    yield finished.popleft()
                     continue
                 if not inflight:
                     # Everything runnable is backing off; sleep to the
@@ -297,11 +263,11 @@ class CampaignExecutor:
                 broken = False
                 for future in done:
                     attempt, _deadline = inflight.pop(future)
-                    broken |= self._collect(future, attempt, results, pending, telemetry)
+                    broken |= self._collect(future, attempt, finished, pending, telemetry)
                 if broken:
                     # Every surviving in-flight future is already (or is
                     # about to be) failed with BrokenProcessPool.
-                    pool = self._rebuild(pool, inflight, results, pending, telemetry)
+                    pool = self._rebuild(pool, inflight, finished, pending, telemetry)
                     continue
                 timed_out = [
                     (future, pair)
@@ -319,12 +285,12 @@ class CampaignExecutor:
                             self._handle_failure(
                                 attempt,
                                 f"timeout after {self.timeout_s}s",
-                                results,
+                                finished,
                                 pending,
                                 telemetry,
                             )
                         elif future.done():
-                            self._collect(future, attempt, results, pending, telemetry)
+                            self._collect(future, attempt, finished, pending, telemetry)
                         else:
                             for spec in attempt.unit:
                                 telemetry.emit(
@@ -344,7 +310,6 @@ class CampaignExecutor:
         # also joins the pool's manager thread, which would otherwise
         # race interpreter exit for its wakeup pipe.
         pool.shutdown(wait=True)
-        return [results[index] for index in range(len(units))]
 
     # ------------------------------------------------------------------
     # Internals
@@ -353,14 +318,14 @@ class CampaignExecutor:
         context = multiprocessing.get_context(self.start_method)
         return ProcessPoolExecutor(max_workers=self.max_workers, mp_context=context)
 
-    def _rebuild(self, pool, inflight, results, pending, telemetry) -> ProcessPoolExecutor:
+    def _rebuild(self, pool, inflight, finished, pending, telemetry) -> ProcessPoolExecutor:
         """Drain a broken pool's in-flight futures through the normal
         bookkeeping (requeueing any that never resolve), shut it down,
         and return a new pool."""
-        finished, unresolved = wait(set(inflight), timeout=5.0)
-        for future in finished:
+        resolved, unresolved = wait(set(inflight), timeout=5.0)
+        for future in resolved:
             attempt, _deadline = inflight.pop(future)
-            self._collect(future, attempt, results, pending, telemetry)
+            self._collect(future, attempt, finished, pending, telemetry)
         for future in unresolved:  # pragma: no cover - defensive
             attempt, _deadline = inflight.pop(future)
             pending.append(attempt)
@@ -399,27 +364,28 @@ class CampaignExecutor:
             wake = min([wake] + [attempt.not_before for attempt in pending])
         return None if wake == math.inf else max(0.0, wake - now)
 
-    def _collect(self, future, attempt, results, pending, telemetry) -> bool:
-        """Fold one finished future into results; True if the pool broke."""
+    def _collect(self, future, attempt, finished, pending, telemetry) -> bool:
+        """Fold one finished future into ``finished``; True if the pool
+        broke."""
         try:
             reply = future.result(timeout=0)
         except BrokenProcessPool:
             self._handle_failure(
-                attempt, "worker-crash: process pool broken", results, pending,
+                attempt, "worker-crash: process pool broken", finished, pending,
                 telemetry,
             )
             return True
         except Exception as exc:  # noqa: BLE001 - task exceptions are data here
             self._handle_failure(
-                attempt, f"{type(exc).__name__}: {exc}", results, pending, telemetry
+                attempt, f"{type(exc).__name__}: {exc}", finished, pending, telemetry
             )
             return False
-        results[attempt.index] = _unit_results(
-            attempt.unit, reply, attempt.attempt, telemetry
+        finished.append(
+            (attempt.index, _unit_results(attempt.unit, reply, attempt.attempt, telemetry))
         )
         return False
 
-    def _handle_failure(self, attempt, reason, results, pending, telemetry) -> None:
+    def _handle_failure(self, attempt, reason, finished, pending, telemetry) -> None:
         if attempt.attempt <= self.max_retries:
             backoff = self._backoff(attempt.attempt)
             self._emit_retries(attempt.unit, reason, attempt.attempt, backoff, telemetry)
@@ -427,8 +393,8 @@ class CampaignExecutor:
             attempt.not_before = time.monotonic() + backoff
             pending.append(attempt)
             return
-        results[attempt.index] = self._failures(
-            attempt.unit, reason, attempt.attempt, telemetry
+        finished.append(
+            (attempt.index, self._failures(attempt.unit, reason, attempt.attempt, telemetry))
         )
 
     def _emit_retries(self, unit, reason, attempt, backoff, telemetry) -> None:

@@ -312,7 +312,6 @@ def run_sharded(
         parallel=parallel,
         max_workers=max_workers,
         max_retries=0,
-        use_cache=False,
         cache_dir=None,
     )
     if campaign.failures:

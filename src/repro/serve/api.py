@@ -18,9 +18,9 @@ deduplicating artifact store.  Endpoints (all JSON unless noted)::
     GET  /v1/jobs/<id>/artifacts         list artifact names + CAS map
     GET  /v1/jobs/<id>/artifacts/<name>  fetch artifact bytes
     GET  /v1/jobs/<id>/cas/<digest>      fetch a referenced CAS payload
-    GET  /v1/jobs/<id>/live/metrics      proxy the running job's
-    GET  /v1/jobs/<id>/live/progress     live observability plane
-    GET  /v1/jobs/<id>/live/events       (SSE; ?limit= as usual)
+    GET  /v1/jobs/<id>/live/metrics      the live observability plane
+    GET  /v1/jobs/<id>/live/progress     of a job running on one of the
+    GET  /v1/jobs/<id>/live/events       daemon's workers (SSE; ?limit=)
 
 Authentication is token-per-tenant: pass ``tokens={"secret": "acme"}``
 (or repeatable ``--token acme=secret`` on the CLI) and requests must
@@ -36,13 +36,11 @@ import json
 import os
 import threading
 import typing
-import urllib.error
-import urllib.request
 from http.server import BaseHTTPRequestHandler
 from urllib.parse import parse_qs, unquote, urlparse
 
 from ..measure.experiment import registry
-from ..obs.live import HTTPServerThread
+from ..obs.live import LIVE_ENDPOINTS, HTTPServerThread, respond
 from .queue import QUEUE_FILENAME, Job, JobQueue, new_job_id
 from .schema import SpecError, normalize_spec, plan_from_spec
 from .store import ArtifactStore
@@ -66,7 +64,6 @@ class ServeDaemon:
         tokens: typing.Optional[typing.Mapping[str, str]] = None,
         lease_s: float = 30.0,
         max_cache_bytes: typing.Optional[int] = None,
-        live_workers: bool = True,
     ) -> None:
         self.spool = os.fspath(spool)
         self.tokens = dict(tokens or {})
@@ -79,7 +76,7 @@ class ServeDaemon:
                 self.spool,
                 worker_id=f"serve-{os.getpid()}-{index}",
                 lease_s=lease_s,
-                live=live_workers,
+                live=True,
                 queue=self.queue,
                 store=self.store,
             )
@@ -171,11 +168,19 @@ class ServeDaemon:
     def job_view(self, job: Job) -> dict:
         """The API's JSON shape for one job."""
         view = job.as_dict()
-        view["live"] = job.live_url is not None
-        view.pop("live_url", None)  # workers bind loopback; reach via proxy
+        view["live"] = self.live_plane(job.id) is not None
         if job.terminal:
             view["artifacts"] = self.store.list_artifacts(job.tenant, job.id)
         return view
+
+    def live_plane(self, job_id: str):
+        """The live plane of ``job_id`` while one of this daemon's
+        workers runs it, else ``None``."""
+        for worker in self._workers:
+            plane = worker.live_plane(job_id)
+            if plane is not None:
+                return plane
+        return None
 
     def fleet_metrics(self, tenant: str) -> typing.Tuple[str, int]:
         """Cross-job Prometheus rollup for one tenant's finished jobs.
@@ -388,7 +393,7 @@ def _make_handler(daemon: ServeDaemon):
                 and rest[2] == "live"
                 and method == "GET"
             ):
-                self._proxy_live(tenant, rest[1], rest[3], parsed.query)
+                self._live(tenant, rest[1], rest[3], parsed.query)
             else:
                 self._error(404, "unknown route")
 
@@ -443,48 +448,22 @@ def _make_handler(daemon: ServeDaemon):
                 return
             self._send_bytes(blob, "application/octet-stream")
 
-        def _proxy_live(
-            self, tenant: str, job_id: str, endpoint: str, query: str
-        ) -> None:
-            if endpoint not in ("metrics", "progress", "events"):
+        def _live(self, tenant: str, job_id: str, endpoint: str, query: str) -> None:
+            if endpoint not in LIVE_ENDPOINTS:
                 self._error(404, "live endpoints: metrics, progress, events")
                 return
             job = self._job_or_404(tenant, job_id)
             if job is None:
                 return
-            if job.state != "running" or not job.live_url:
+            plane = daemon.live_plane(job.id)
+            if plane is None:
                 self._error(
                     409,
                     f"job {job_id!r} is {job.state} without a live plane "
-                    "(live attaches to at most one running job per worker "
-                    "process; artifacts remain available either way)",
+                    "(only a job running on one of the daemon's own workers "
+                    "has one; artifacts remain available either way)",
                 )
                 return
-            upstream = f"{job.live_url}/{endpoint}"
-            if query:
-                upstream += f"?{query}"
-            try:
-                response = urllib.request.urlopen(upstream, timeout=30)
-            except urllib.error.HTTPError as exc:
-                # The live plane answered with an error (e.g. a bad
-                # query): relay its status and body, not a dead upstream.
-                response = exc
-            except OSError:
-                self._error(409, f"job {job_id!r} live plane is gone (job finished?)")
-                return
-            with response:
-                self.send_response(response.status)
-                self.send_header(
-                    "Content-Type",
-                    response.headers.get("Content-Type", "application/octet-stream"),
-                )
-                self.send_header("Connection", "close")
-                self.end_headers()
-                while True:
-                    chunk = response.read(8192)
-                    if not chunk:
-                        break
-                    self.wfile.write(chunk)
-                self.wfile.flush()
+            respond(plane, self, endpoint, query)
 
     return _Handler

@@ -135,7 +135,7 @@ class ServeClient:
         return body
 
     def live(self, job_id: str, endpoint: str, query: str = "") -> bytes:
-        """Raw bytes from the job's proxied live plane endpoint."""
+        """Raw bytes from one of the running job's live plane endpoints."""
         path = f"/v1/jobs/{job_id}/live/{endpoint}"
         if query:
             path += f"?{query}"

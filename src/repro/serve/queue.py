@@ -58,7 +58,6 @@ CREATE TABLE IF NOT EXISTS jobs (
     finished_at      REAL,
     lease_owner      TEXT,
     lease_expires_at REAL,
-    live_url         TEXT,
     summary          TEXT,
     error            TEXT
 );
@@ -89,7 +88,6 @@ class Job:
     finished_at: typing.Optional[float] = None
     lease_owner: typing.Optional[str] = None
     lease_expires_at: typing.Optional[float] = None
-    live_url: typing.Optional[str] = None
     summary: typing.Optional[dict] = None
     error: typing.Optional[str] = None
 
@@ -119,7 +117,6 @@ class Job:
             finished_at=row["finished_at"],
             lease_owner=row["lease_owner"],
             lease_expires_at=row["lease_expires_at"],
-            live_url=row["live_url"],
             summary=json.loads(row["summary"]) if row["summary"] else None,
             error=row["error"],
         )
@@ -208,7 +205,7 @@ class JobQueue:
                 return job
             self._db.execute(
                 "UPDATE jobs SET state='cancelled', finished_at=?,"
-                " lease_owner=NULL, lease_expires_at=NULL, live_url=NULL"
+                " lease_owner=NULL, lease_expires_at=NULL"
                 " WHERE id=? AND state IN ('queued', 'running')",
                 (self._clock(), job_id),
             )
@@ -244,7 +241,7 @@ class JobQueue:
                         self._db.execute(
                             "UPDATE jobs SET state='failed', finished_at=?,"
                             " lease_owner=NULL, lease_expires_at=NULL,"
-                            " live_url=NULL, error=? WHERE id=?",
+                            " error=? WHERE id=?",
                             (
                                 now,
                                 f"gave up after {row['attempts']} expired or "
@@ -257,7 +254,7 @@ class JobQueue:
                     self._db.execute(
                         "UPDATE jobs SET state='running', attempts=attempts+1,"
                         " lease_owner=?, lease_expires_at=?,"
-                        " started_at=COALESCE(started_at, ?), live_url=NULL"
+                        " started_at=COALESCE(started_at, ?)"
                         " WHERE id=?",
                         (owner, now + lease_s, now, row["id"]),
                     )
@@ -275,17 +272,6 @@ class JobQueue:
                 "UPDATE jobs SET lease_expires_at=?"
                 " WHERE id=? AND lease_owner=? AND state='running'",
                 (self._clock() + lease_s, job_id, owner),
-            )
-            self._db.commit()
-            return cursor.rowcount == 1
-
-    def set_live_url(self, job_id: str, owner: str, url: typing.Optional[str]) -> bool:
-        """Publish the job's live observability endpoint (or clear it)."""
-        with self._lock:
-            cursor = self._db.execute(
-                "UPDATE jobs SET live_url=?"
-                " WHERE id=? AND lease_owner=? AND state='running'",
-                (url, job_id, owner),
             )
             self._db.commit()
             return cursor.rowcount == 1
@@ -313,7 +299,7 @@ class JobQueue:
         with self._lock:
             cursor = self._db.execute(
                 "UPDATE jobs SET state=?, finished_at=?, summary=?, error=?,"
-                " lease_owner=NULL, lease_expires_at=NULL, live_url=NULL"
+                " lease_owner=NULL, lease_expires_at=NULL"
                 " WHERE id=? AND lease_owner=? AND state='running'",
                 (
                     state,
@@ -383,7 +369,7 @@ class JobQueue:
         with self._lock:
             cursor = self._db.execute(
                 "UPDATE jobs SET state='queued', lease_owner=NULL,"
-                " lease_expires_at=NULL, live_url=NULL"
+                " lease_expires_at=NULL"
                 " WHERE state='running' AND lease_expires_at < ?",
                 (self._clock(),),
             )

@@ -23,6 +23,13 @@ plan-derived ``campaign_id`` plus the queue's ``job_id`` ride in every
 telemetry event (and therefore every live SSE frame), in
 ``results.json``/``manifest.json``/``summary.json``, and in each
 per-task metrics dump.
+
+A worker built with ``live=True`` (each of the daemon's threads) opens
+a :class:`~repro.obs.live.LivePlane` for every job it runs.  The plane
+is the active one of the worker's own thread only, so jobs on different
+workers feed different planes, and the daemon answers a running job's
+``/v1/jobs/<id>/live/*`` from its plane (:meth:`ServeWorker.live_plane`).
+A ``repro worker`` process opens none.
 """
 
 from __future__ import annotations
@@ -36,13 +43,6 @@ from ..runner import TelemetryWriter, run_campaign
 from .queue import QUEUE_FILENAME, Job, JobQueue
 from .schema import SpecError, normalize_spec, plan_from_spec
 from .store import ArtifactStore
-
-#: One live observability plane per process: run_campaign feeds the
-#: process-global active server, so concurrent worker threads take
-#: turns — the holder's job gets /live/* proxying, the others still
-#: run (and still write artifacts) without a live plane.
-_LIVE_SLOT = threading.Lock()
-
 
 class ServeWorker:
     """Leases and executes jobs from a spool directory's queue."""
@@ -71,6 +71,8 @@ class ServeWorker:
         )
         self.jobs_run = 0
         self._wake = threading.Event()
+        #: ``(job id, plane)`` while a job runs with a live plane.
+        self._live_job: typing.Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # Loop
@@ -83,6 +85,14 @@ class ServeWorker:
         self._run_job(job)
         self.jobs_run += 1
         return self.queue.get(job.id)
+
+    def live_plane(self, job_id: str):
+        """The live plane of ``job_id`` while this worker runs it, else
+        ``None``."""
+        live_job = self._live_job
+        if live_job is not None and live_job[0] == job_id:
+            return live_job[1]
+        return None
 
     def wake(self) -> None:
         """End this worker's idle wait now: a job was submitted, or
@@ -151,7 +161,8 @@ class ServeWorker:
             )
             with contextlib.ExitStack() as stack:
                 stack.enter_context(telemetry)
-                self._maybe_attach_live(stack, job)
+                if self.live:
+                    stack.enter_context(self._open_live_plane(job.id))
                 campaign = run_campaign(
                     plan,
                     parallel=spec["parallel"],
@@ -159,7 +170,6 @@ class ServeWorker:
                     timeout_s=spec["timeout_s"],
                     max_retries=spec["max_retries"],
                     cache_dir=self.store.cas_dir,
-                    use_cache=True,
                     telemetry=telemetry,
                     metrics_dir=metrics_dir,
                 )
@@ -196,29 +206,26 @@ class ServeWorker:
                 # queue's lease guard will discard our completion.
                 return
 
-    def _maybe_attach_live(self, stack: contextlib.ExitStack, job: Job) -> None:
-        """Attach a per-job live observability plane when available."""
-        if not self.live or not _LIVE_SLOT.acquire(blocking=False):
-            return
-        stack.callback(_LIVE_SLOT.release)
-        try:
-            from ..obs.live import live_server
+    @contextlib.contextmanager
+    def _open_live_plane(self, job_id: str):
+        """Feed a new live plane from this thread's campaigns and serve
+        it as ``job_id``'s until the block ends."""
+        from ..obs.context import live_plane
+        from ..obs.live import LivePlane
 
-            server = stack.enter_context(live_server(port=0))
-        except OSError:  # pragma: no cover - no loopback available
-            return
-        self.queue.set_live_url(job.id, self.worker_id, server.url)
+        with LivePlane() as plane, live_plane(plane):
+            self._live_job = (job_id, plane)
+            try:
+                yield
+            finally:
+                self._live_job = None
 
 
 def worker_main(
-    spool: str,
-    max_jobs: typing.Optional[int] = None,
-    lease_s: float = 30.0,
-    live: bool = False,
-    poll_s: float = 0.25,
+    spool: str, max_jobs: typing.Optional[int] = None, lease_s: float = 30.0
 ) -> int:
     """Blocking entry point for ``python -m repro worker``."""
-    worker = ServeWorker(spool, lease_s=lease_s, live=live, poll_s=poll_s)
+    worker = ServeWorker(spool, lease_s=lease_s)
     try:
         return worker.run_forever(max_jobs=max_jobs)
     except KeyboardInterrupt:  # pragma: no cover - interactive exit

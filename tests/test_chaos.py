@@ -187,7 +187,6 @@ def test_verdicts_are_byte_identical_across_runs_and_shard_counts():
         intensities=["mild"],
         seeds=(0, 1),
         cache_dir=None,
-        use_cache=False,
     )
     serial = run_chaos_campaign(parallel=False, **matrix)
     sharded = run_chaos_campaign(parallel=True, max_workers=2, **matrix)

@@ -9,12 +9,15 @@ import os
 import pickle
 import threading
 import time
+import typing
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.measure.experiment import register_experiment, unregister_experiment
+from repro.obs.export import to_prometheus
+from repro.obs.fleet import REGISTRY_FILENAME, load_campaign_registry
 from repro.obs.live import LiveObsServer, active_live_server, live_server
 from repro.runner import CampaignPlan, run_campaign, task_dump_filename
 from repro.serve import ServeDaemon
@@ -163,26 +166,91 @@ def test_cache_hits_count_toward_progress(tmp_path):
 # ----------------------------------------------------------------------
 # The read-only guarantee
 # ----------------------------------------------------------------------
+def _events_dispatched(prometheus_text: str) -> typing.List[str]:
+    return [
+        line
+        for line in prometheus_text.splitlines()
+        if line.startswith("sim_events_dispatched_total")
+    ]
+
+
 def test_live_observed_campaign_is_byte_identical(tmp_path):
     """Acceptance: a campaign with the live plane attached produces
-    byte-identical results and aggregate to one without."""
-    plan = CampaignPlan.from_matrix(["live-tiny"], seeds=range(3))
-    silent_dir = str(tmp_path / "silent")
-    live_dir = str(tmp_path / "live")
-
-    silent = run_campaign(
-        plan, parallel=True, max_workers=2, cache_dir=None, metrics_dir=silent_dir
+    byte-identical results and aggregate to one without, and the plane's
+    /metrics folds the same kernel events.  The Fig. 7 sweep nests a
+    campaign inside each unit: that campaign feeds no plane and leaves
+    collection to the unit, serially and on a worker alike."""
+    tiny = CampaignPlan.from_matrix(["live-tiny"], seeds=range(3))
+    sweep = CampaignPlan.from_matrix(
+        ["scalability"],
+        grid={"platforms": [("vrchat",)], "user_counts": [(1, 2)]},
+        seeds=[0],
     )
-    with live_server(port=0):
-        observed = run_campaign(
-            plan, parallel=True, max_workers=2, cache_dir=None, metrics_dir=live_dir
-        )
-    assert pickle.dumps(silent.values()) == pickle.dumps(observed.values())
-    with open(os.path.join(silent_dir, "campaign_registry.json"), "rb") as handle:
-        silent_registry = handle.read()
-    with open(os.path.join(live_dir, "campaign_registry.json"), "rb") as handle:
-        live_registry = handle.read()
-    assert silent_registry == live_registry
+    for name, plan, options in (
+        ("tiny", tiny, {"parallel": True, "max_workers": 2}),
+        ("nested-serial", sweep, {"parallel": False}),
+        ("nested-one-worker", sweep, {"parallel": True, "max_workers": 1}),
+    ):
+        silent_dir = str(tmp_path / name / "silent")
+        live_dir = str(tmp_path / name / "live")
+        silent = run_campaign(plan, cache_dir=None, metrics_dir=silent_dir, **options)
+        with live_server(port=0) as server:
+            observed = run_campaign(
+                plan, cache_dir=None, metrics_dir=live_dir, **options
+            )
+            metrics = _get(server.url + "/metrics")
+        assert pickle.dumps(silent.values()) == pickle.dumps(observed.values()), name
+        silent_path = os.path.join(silent_dir, REGISTRY_FILENAME)
+        with open(silent_path, "rb") as handle:
+            silent_registry = handle.read()
+        with open(os.path.join(live_dir, REGISTRY_FILENAME), "rb") as handle:
+            live_registry = handle.read()
+        assert silent_registry == live_registry, name
+        folded = to_prometheus(load_campaign_registry(silent_path).merged_registry())
+        assert _events_dispatched(folded), name
+        assert _events_dispatched(metrics) == _events_dispatched(folded), name
+
+
+_SECOND_UNIT_MAY_RUN = threading.Event()
+
+
+def live_gated_stub(seed=0):
+    """``live_sim_stub``; seed 1 first waits for the test's go-ahead."""
+    if seed == 1:
+        assert _SECOND_UNIT_MAY_RUN.wait(30)
+    return live_sim_stub(seed)
+
+
+def test_a_serial_unit_is_folded_before_the_next_one_starts():
+    """/metrics shows the first unit's five events while the second
+    unit still runs."""
+    register_experiment("live-gated", live_gated_stub, artifact="test", replace=True)
+    _SECOND_UNIT_MAY_RUN.clear()
+    plan = CampaignPlan.from_matrix(["live-gated"], seeds=range(2))
+    servers = []
+    opened = threading.Event()
+
+    def run_observed() -> None:
+        with live_server(port=0) as server:
+            servers.append(server)
+            opened.set()
+            run_campaign(plan, parallel=False, cache_dir=None)
+
+    runner = threading.Thread(target=run_observed)
+    runner.start()
+    try:
+        assert opened.wait(10)
+        deadline = time.monotonic() + 10
+        metrics = _get(servers[0].url + "/metrics")
+        while "sim_events_dispatched_total 5" not in metrics:
+            assert time.monotonic() < deadline, metrics
+            time.sleep(0.02)
+            metrics = _get(servers[0].url + "/metrics")
+    finally:
+        _SECOND_UNIT_MAY_RUN.set()
+        runner.join(30)
+        unregister_experiment("live-gated")
+    assert not runner.is_alive()
 
 
 def test_campaign_registry_is_worker_count_invariant(tmp_path):

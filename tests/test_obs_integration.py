@@ -8,6 +8,7 @@ can pickle it by reference if needed.
 import collections
 import json
 import os
+import threading
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.obs import (
     NULL_OBS,
     Observability,
     PeriodicSnapshotter,
+    active_collector,
     collect,
     obs_of,
 )
@@ -66,6 +68,43 @@ def test_collectors_nest_and_restore():
         Simulator(seed=2)
     assert len(inner.observabilities) == 1
     assert len(outer.observabilities) == 1
+
+
+def test_collectors_of_interleaved_threads_stay_apart():
+    """A enters collect(), B enters, A builds a Simulator and leaves,
+    then B builds one: each collector holds only its own thread's
+    simulation, and no collector is left active."""
+    a_entered, b_entered, a_left = (threading.Event() for _ in range(3))
+    collectors, sims, after = {}, {}, {}
+
+    def thread_a():
+        with collect() as collector:
+            collectors["a"] = collector
+            a_entered.set()
+            assert b_entered.wait(5)
+            sims["a"] = Simulator(seed=1)
+        after["a"] = active_collector()
+        a_left.set()
+
+    def thread_b():
+        assert a_entered.wait(5)
+        with collect() as collector:
+            collectors["b"] = collector
+            b_entered.set()
+            assert a_left.wait(5)
+            sims["b"] = Simulator(seed=2)
+        after["b"] = active_collector()
+
+    threads = [threading.Thread(target=body) for body in (thread_a, thread_b)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(10)
+        assert not thread.is_alive()
+    assert collectors["a"].observabilities == [sims["a"].obs]
+    assert collectors["b"].observabilities == [sims["b"].obs]
+    assert after == {"a": None, "b": None}
+    assert active_collector() is None
 
 
 # ----------------------------------------------------------------------

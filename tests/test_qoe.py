@@ -335,7 +335,6 @@ def test_qoe_results_are_byte_identical_across_runs_and_shard_counts():
         seeds=(0, 1),
         duration_s=10.0,
         cache_dir=None,
-        use_cache=False,
     )
     serial = run_qoe_campaign(parallel=False, **matrix)
     sharded = run_qoe_campaign(parallel=True, max_workers=2, **matrix)

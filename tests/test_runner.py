@@ -245,9 +245,7 @@ def test_no_cache_escape_hatch(tmp_path):
         ["stub-sleep"], grid={"sleep_s": [0.0]}, seeds=range(3)
     )
     run_campaign(plan, parallel=False, cache_dir=cache_dir)
-    uncached = run_campaign(
-        plan, parallel=False, cache_dir=cache_dir, use_cache=False
-    )
+    uncached = run_campaign(plan, parallel=False, cache_dir=None)
     assert uncached.summary.executed == 3 and uncached.summary.cache_hits == 0
 
 

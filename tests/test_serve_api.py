@@ -10,7 +10,9 @@ import json
 import math
 import pathlib
 import socket
+import threading
 import time
+import typing
 
 import pytest
 
@@ -46,7 +48,7 @@ SPEC = {"experiments": ["serve-stub"], "seeds": 2, "parallel": False}
 
 @pytest.fixture()
 def daemon(tmp_path):
-    with ServeDaemon(tmp_path / "spool", n_workers=1, live_workers=False) as d:
+    with ServeDaemon(tmp_path / "spool", n_workers=1) as d:
         yield d
 
 
@@ -287,7 +289,7 @@ def test_close_returns_promptly(tmp_path):
 # Jobs start when submitted
 # ----------------------------------------------------------------------
 def _daemon_polling_every_30_s(spool) -> ServeDaemon:
-    daemon = ServeDaemon(spool, n_workers=1, live_workers=False)
+    daemon = ServeDaemon(spool, n_workers=1)
     for worker in daemon._workers:
         worker.poll_s = 30.0
     return daemon
@@ -344,19 +346,111 @@ def test_live_proxy_conflict_when_no_live_plane(client):
     assert excinfo.value.status == 409  # terminal job has no live plane
 
 
-def test_live_proxy_relays_the_live_planes_own_error(tmp_path):
-    """A live plane's 400 reaches the client as that 400, not as a 409
-    "live plane is gone"."""
-    with ServeDaemon(tmp_path / "spool", n_workers=0, live_workers=False) as daemon:
+class _Gate:
+    """Holds each odd-seeded ``serve-gated-stub`` task until released."""
+
+    entered = threading.Semaphore(0)
+    release = threading.Event()
+
+
+def serve_gated_stub(seed=0, events=1):
+    """Dispatches ``events`` kernel events; an odd seed then keeps its
+    job running until the test releases the gate."""
+    from repro.simcore import Simulator
+
+    sim = Simulator(seed=seed)
+    for index in range(events):
+        sim.schedule(0.1 * (index + 1), lambda: None)
+    sim.run()
+    if seed % 2:
+        _Gate.entered.release()
+        assert _Gate.release.wait(30)
+    return {"seed": seed, "events": events}
+
+
+@pytest.fixture()
+def gate():
+    _Gate.entered = threading.Semaphore(0)
+    _Gate.release = threading.Event()
+    register_experiment("serve-gated-stub", serve_gated_stub, artifact="test", replace=True)
+    yield _Gate
+    _Gate.release.set()
+    unregister_experiment("serve-gated-stub")
+
+
+def _gated_spec(events: int) -> dict:
+    """Seed 0 finishes (``events`` events), then seed 1 holds the job."""
+    return {
+        "experiments": ["serve-gated-stub"],
+        "grid": {"events": [events]},
+        "seeds": 2,
+        "parallel": False,
+    }
+
+
+def _sse_records(body: bytes) -> typing.List[dict]:
+    return [
+        json.loads(line[len("data: "):])
+        for line in body.decode().splitlines()
+        if line.startswith("data: ")
+    ]
+
+
+def test_live_proxy_relays_the_live_planes_own_error(tmp_path, gate):
+    """A job running on an in-process worker answers /live/* from its
+    own plane, and the plane's own 400 reaches the client as that 400."""
+    with ServeDaemon(tmp_path / "spool", n_workers=1) as daemon:
         client = ServeClient(daemon.url)
-        job_id = client.submit(SPEC)["id"]
-        assert daemon.queue.lease("test-worker", lease_s=60).id == job_id
-        with live_server(port=0) as live:
-            assert daemon.queue.set_live_url(job_id, "test-worker", live.url)
+        job = client.submit(_gated_spec(events=5))
+        try:
+            assert gate.entered.acquire(timeout=10)
+            assert client.job(job["id"])["live"] is True
+            progress = json.loads(client.live(job["id"], "progress"))
+            assert progress["campaign_id"] == job["campaign_id"]
+            assert (progress["n_tasks"], progress["done"]) == (2, 1)
+            metrics = client.live(job["id"], "metrics").decode()
+            assert "sim_events_dispatched_total 5" in metrics
+            assert "repro_campaign_tasks 2" in metrics
+            records = _sse_records(client.live(job["id"], "events", query="limit=2"))
+            assert [record["event"] for record in records] == [
+                "campaign_start", "task_start"
+            ]
+            assert {record["campaign_id"] for record in records} == {job["campaign_id"]}
+            assert {record["job_id"] for record in records} == {job["id"]}
             with pytest.raises(ServeApiError) as excinfo:
-                client.live(job_id, "events", query="limit=abc")
-    assert excinfo.value.status == 400
-    assert "limit and since must be integers" in str(excinfo.value.body)
+                client.live(job["id"], "events", query="limit=abc")
+            assert excinfo.value.status == 400
+            assert "limit and since must be integers" in str(excinfo.value.body)
+        finally:
+            gate.release.set()
+        done = client.wait(job["id"], timeout_s=30)
+        assert done["state"] == "done" and done["live"] is False
+        with pytest.raises(ServeApiError) as excinfo:
+            client.live(job["id"], "progress")
+        assert excinfo.value.status == 409
+
+
+def test_two_running_jobs_serve_their_own_planes(tmp_path, gate):
+    """Two jobs held at once on two in-process workers: each answers
+    from its own plane, which folds only its own simulations."""
+    with ServeDaemon(tmp_path / "spool", n_workers=2) as daemon:
+        client = ServeClient(daemon.url)
+        jobs = {}
+        try:
+            for events in (3, 4):
+                jobs[events] = client.submit(_gated_spec(events))
+            for _ in jobs:
+                assert gate.entered.acquire(timeout=10)
+            for events, job in jobs.items():
+                progress = json.loads(client.live(job["id"], "progress"))
+                assert progress["campaign_id"] == job["campaign_id"]
+                assert progress["done"] == 1
+                metrics = client.live(job["id"], "metrics").decode()
+                assert f"sim_events_dispatched_total {events}\n" in metrics
+        finally:
+            gate.release.set()
+        for job in jobs.values():
+            assert client.wait(job["id"], timeout_s=30)["state"] == "done"
 
 
 @pytest.mark.parametrize(
@@ -379,9 +473,7 @@ def test_cli_reports_an_unreachable_control_plane_in_one_line(argv, capsys):
 @pytest.fixture()
 def tenanted(tmp_path):
     tokens = {"acme-secret": "acme", "rival-secret": "rival"}
-    with ServeDaemon(
-        tmp_path / "spool", n_workers=1, tokens=tokens, live_workers=False
-    ) as daemon:
+    with ServeDaemon(tmp_path / "spool", n_workers=1, tokens=tokens) as daemon:
         yield daemon
 
 
@@ -436,7 +528,7 @@ def test_daemon_restart_recovers_orphaned_jobs(tmp_path):
     import time
 
     time.sleep(0.2)  # lease expires
-    with ServeDaemon(spool, n_workers=1, live_workers=False) as reborn:
+    with ServeDaemon(spool, n_workers=1) as reborn:
         assert reborn.recovered_jobs == 1
         client = ServeClient(reborn.url)
         done = client.wait(job["id"], timeout_s=60)

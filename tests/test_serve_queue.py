@@ -146,16 +146,6 @@ def test_poison_job_fails_after_max_attempts(queue, clock):
     assert "gave up after 2" in dead.error
 
 
-def test_set_live_url_requires_live_lease(queue, clock):
-    job = queue.submit(SPEC)
-    queue.lease("w1", 30.0)
-    assert queue.set_live_url(job.id, "w1", "http://127.0.0.1:9999")
-    assert queue.get(job.id).live_url == "http://127.0.0.1:9999"
-    assert not queue.set_live_url(job.id, "w2", "http://evil")
-    queue.complete(job.id, "w1", {})
-    assert queue.get(job.id).live_url is None  # cleared on finish
-
-
 # ----------------------------------------------------------------------
 # Cancellation
 # ----------------------------------------------------------------------
@@ -195,6 +185,21 @@ def test_queue_persists_across_reopen(tmp_path, clock):
         assert restored.tenant == "acme"
         assert restored.campaign_id == "c9"
         assert second.lease("w", 30.0).id == job.id
+
+
+def test_a_spool_with_the_old_live_url_column_still_runs_jobs(tmp_path, clock):
+    """Spools made before the ``live_url`` column was dropped keep it,
+    unused: every write names its columns and rows are read by name."""
+    path = tmp_path / QUEUE_FILENAME
+    with JobQueue(path, clock=clock) as old:
+        old._db.execute("ALTER TABLE jobs ADD COLUMN live_url TEXT")
+        old._db.commit()
+    with JobQueue(path, clock=clock) as reopened:
+        job = reopened.submit(SPEC)
+        assert reopened.lease("w", 30.0).id == job.id
+        assert reopened.complete(job.id, "w", {"ok": True})
+        assert reopened.get(job.id).summary == {"ok": True}
+        assert reopened.recover() == 0
 
 
 def test_recover_requeues_expired_running_jobs(tmp_path, clock):
