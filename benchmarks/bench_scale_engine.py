@@ -1,6 +1,6 @@
 """repro.scale: fluid-vs-packet speedup and fan-out timing.
 
-Two wall-clock checks on the hybrid-fidelity scale engine:
+Two wall-clock checks on the fluid scale engine:
 
 * a fluid room is >= 100x faster than the equivalent packet room,
 * a 1000-room (20k-user) fan-out completes in interactive time.

@@ -8,8 +8,8 @@ calibration out to 50,000 churning rooms — one million concurrent
 VRChat users — and then prices the four candidate architectures.
 
 It also shows hybrid fidelity: one packet-level observed station inside
-a full VRChat instance (80 users, the platform's room cap) whose crowd
-is a single fluid process.
+a full VRChat instance (80 users, the platform's room cap) whose 79
+crowd peers inject their avatar updates at the server.
 
 Run:
     python examples/metaverse_scale.py
@@ -56,7 +56,7 @@ def main() -> None:
     #    instance (VRChat caps rooms at 80).
     testbed = Testbed("vrchat", n_users=1, seed=0)
     testbed.start_all(join_at=2.0, sample_metrics=False)
-    testbed.add_fluid_crowd(count=79, at=2.0)
+    testbed.add_peers(79, join_times=[2.0] * 79)
     testbed.run(until=60.0)
     down = average_kbps(
         [r for r in testbed.u1.sniffer.records if r.direction == DOWNLINK],
@@ -65,7 +65,7 @@ def main() -> None:
     )
     print(
         f"\nHybrid check: observed station inside a full 80-user room "
-        f"downloads {down / 1000:.1f} Mbps (packet-level, fluid crowd)"
+        f"downloads {down / 1000:.1f} Mbps (packet-level, crowd peers)"
     )
 
 

@@ -96,14 +96,8 @@ class FlowTable:
     def __iter__(self):
         return iter(self.flows.values())
 
-    def by_protocol(self, protocol: Protocol) -> typing.List[Flow]:
-        return [f for f in self.flows.values() if f.protocol is protocol]
-
     def largest(self, count: int = 5) -> typing.List[Flow]:
         return sorted(self.flows.values(), key=lambda f: -f.total_bytes)[:count]
-
-    def remote_endpoints(self) -> typing.List[Endpoint]:
-        return sorted({f.remote for f in self.flows.values()})
 
 
 class StreamingFlowTable(FlowTable):

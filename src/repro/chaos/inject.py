@@ -5,10 +5,12 @@ A :class:`FaultInjector` arms one scenario x intensity on a live
 every activate/heal hook is a kernel-scheduled callback, so fault
 timing rides the same deterministic event heap as everything else and
 golden-trace determinism holds per seed.  The injector drives exactly
-three kinds of actuator — :class:`~repro.net.netem.NetemQdisc`
-configure/reset, :class:`~repro.net.link.Link` up/down, and server
-lifecycle (crash, placement failover/re-deploy, restart) — and records
-a fault-event timeline for the verdict layer and the obs tracer.
+four kinds of actuator — :class:`~repro.net.netem.NetemQdisc`
+configure/reset, :class:`~repro.net.link.Link` up/down, server
+lifecycle (crash, placement failover/re-deploy, restart), and crowd
+peers that join and stop (:meth:`~repro.measure.session.Testbed.add_peers`)
+— and records a fault-event timeline for the verdict layer and the
+obs tracer.
 """
 
 from __future__ import annotations
@@ -248,16 +250,19 @@ class FaultInjector:
         members = int(self.params["members"])
         ramp_s = self.params["ramp_s"]
         hold_s = self.params["hold_s"]
-        crowd = self.testbed.add_fluid_crowd(0, at=fault_at)
-        self._state["crowd"] = crowd
+        crowd: list = []
 
         def join_batch(count: int) -> None:
             for _ in range(count):
                 self.crowd_attempted += 1
                 try:
-                    crowd.join(1)
+                    crowd.extend(self.testbed.add_peers(1))
                 except RoomFullError:
                     self.rejected_users += 1
+
+        def disperse() -> None:
+            for peer in crowd:
+                peer.stop()
 
         batches = max(1, int(round(ramp_s)))
         step = ramp_s / batches
@@ -272,7 +277,7 @@ class FaultInjector:
                     count,
                 )
         heal_at = fault_at + ramp_s + hold_s
-        self._hook(heal_at, "crowd-disperse", crowd.stop)
+        self._hook(heal_at, "crowd-disperse", disperse)
         return heal_at
 
     # ------------------------------------------------------------------

@@ -224,11 +224,10 @@ register_scenario(
         description=(
             "A flash crowd joins U1's room in per-second batches over "
             "ramp_s seconds (members total), holds for hold_s, then "
-            "disperses.  The crowd is carried by repro.scale's "
-            "FluidCrowd aggregation, so 10k joins stay O(1) simulator "
-            "processes; joins beyond the platform's room capacity are "
-            "rejected and counted as dropped users (the Sec. 6.2 event "
-            "caps, exercised to their limit)."
+            "disperses.  Each member is a crowd peer that injects its "
+            "avatar updates at the server; joins beyond the platform's "
+            "room capacity are rejected and counted as dropped users "
+            "(the Sec. 6.2 event caps, exercised to their limit)."
         ),
         intensities={
             "mild": {"members": 1000, "ramp_s": 10.0, "hold_s": 10.0},

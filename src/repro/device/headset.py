@@ -21,10 +21,6 @@ class Resolution:
     def __str__(self) -> str:
         return f"{self.width}x{self.height}"
 
-    @property
-    def pixels(self) -> int:
-        return self.width * self.height
-
 
 @dataclasses.dataclass(frozen=True)
 class HeadsetProfile:

@@ -9,7 +9,8 @@ A :class:`Testbed` builds the full world for one experiment:
 * one station per user: device host <-> WiFi AP <-> nearest core
   router, with a Wireshark-style sniffer and tc-netem qdiscs on the
   access links, an OVR-metrics sampler, and a platform client,
-* optional lightweight crowd peers for public-event experiments.
+* optional lightweight crowd peers (:meth:`Testbed.add_peers`): the
+  crowds of Figs. 6-9 and 11, churning public events and flash crowds.
 
 Both test users sit on the U.S. east coast by default, behind two
 different APs on the same campus network, exactly as in the paper.
@@ -240,13 +241,19 @@ class Testbed:
         join_times: typing.Optional[typing.Sequence[float]] = None,
         circle_radius: float = 0.8,
     ) -> typing.List[LightweightPeer]:
-        """Add lightweight crowd peers arranged on a circle."""
+        """Add lightweight crowd peers arranged on a circle.
+
+        Each peer joins at its entry of ``join_times``, or now when
+        ``join_times`` is None.  A join now into a full room raises
+        :class:`~repro.server.rooms.RoomFullError`, and the rejected
+        peer is not kept.  Stopped peers stay in :attr:`peers`, so a
+        peer id is never reused.
+        """
         import math
 
-        start_index = len(self.peers)
         new_peers = []
         for offset in range(count):
-            index = start_index + offset
+            index = len(self.peers)
             angle = 2 * math.pi * (index % 16) / 16
             position = Vec3(
                 circle_radius * math.cos(angle), 0.0, circle_radius * math.sin(angle)
@@ -258,29 +265,13 @@ class Testbed:
                 self.room_id,
                 position,
             )
-            when = join_times[offset] if join_times else 2.0
-            peer.start(when)
+            if join_times is None:
+                peer.join()
+            else:
+                peer.start(join_times[offset])
+            self.peers.append(peer)
             new_peers.append(peer)
-        self.peers.extend(new_peers)
         return new_peers
-
-    def add_fluid_crowd(
-        self, count: int = 0, at: float = 2.0, circle_radius: float = 0.8
-    ):
-        """An aggregated crowd behind the same servers (hybrid fidelity).
-
-        One :class:`~repro.scale.hybrid.FluidCrowd` process injects all
-        crowd members' updates at the server — byte-identical on the
-        observed stations' access links to per-peer injection, at O(1)
-        simulator processes instead of O(crowd).
-        """
-        from ..scale.hybrid import FluidCrowd
-
-        crowd = FluidCrowd(
-            self.sim, self.deployment, self.room_id, circle_radius=circle_radius
-        )
-        crowd.start(at, initial_members=count)
-        return crowd
 
     def run(self, until: float) -> float:
         """Advance the simulation to absolute time ``until``."""

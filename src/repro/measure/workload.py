@@ -2,9 +2,10 @@
 
 The paper's Sec. 6.2 experiments join *public events* with 7-15 users
 over which the authors have no control — attendees come and go. This
-module generates that churn: a target population with Poisson-ish
-arrivals and departures, and a measurement that relates the observed
-user's downlink to the *current* occupancy rather than a fixed count.
+module generates that churn: a target population of crowd peers with
+Poisson-ish arrivals and departures, and a measurement that relates the
+observed user's downlink to the *current* occupancy rather than a fixed
+count.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import dataclasses
 import typing
 
 from ..capture.sniffer import DOWNLINK
+from ..platforms.base import LightweightPeer
 from .session import Testbed, download_drain_s
 from .stats import LinearFit, linear_fit
 
@@ -46,13 +48,12 @@ class PublicEventResult:
 
 
 class CrowdChurn:
-    """Drives a fluid crowd in and out of a testbed's room.
+    """Drives crowd peers in and out of a testbed's room.
 
-    The crowd rides :meth:`Testbed.add_fluid_crowd` — one aggregation
-    process injecting every member's updates at the server — so a
-    churning public event costs the simulator O(1) processes however
-    large the room gets, while the observed station's traffic stays
-    byte-identical to per-peer injection.
+    Each attendee is a :class:`~repro.platforms.base.LightweightPeer`
+    from :meth:`Testbed.add_peers`: arrivals join on the spot and
+    departures stop, which cancels the peer's update timer and takes it
+    out of the room.
     """
 
     def __init__(
@@ -69,28 +70,27 @@ class CrowdChurn:
         self.churn_interval_s = churn_interval_s
         self.churn_probability = churn_probability
         self._rng = testbed.sim.rng("crowd-churn")
-        self.crowd = None
+        #: The attendees in the room, in join order.
+        self.crowd: typing.List[LightweightPeer] = []
 
     def start(self, at: float) -> None:
         # Initial crowd: target minus the observed user.
-        self.crowd = self.testbed.add_fluid_crowd(
-            count=self.target_users - 1, at=at
-        )
+        initial = self.target_users - 1
+        self.crowd = self.testbed.add_peers(initial, join_times=[at] * initial)
         self.testbed.sim.schedule_at(at + self.churn_interval_s, self._churn)
 
     def occupancy(self) -> int:
-        crowd_size = self.crowd.size if self.crowd is not None else 0
-        return 1 + crowd_size
+        return 1 + len(self.crowd)
 
     def _churn(self) -> None:
         sim = self.testbed.sim
         if self._rng.random() < self.churn_probability:
-            if self._rng.random() < 0.5 and self.crowd.size > 2:
+            if self._rng.random() < 0.5 and len(self.crowd) > 2:
                 # A random attendee leaves.
-                self.crowd.leave(self._rng.randrange(self.crowd.size))
+                self.crowd.pop(self._rng.randrange(len(self.crowd))).stop()
             elif self.occupancy() < self.target_users + 3:
                 # A new attendee arrives.
-                self.crowd.join(1)
+                self.crowd.extend(self.testbed.add_peers(1))
         sim.schedule(self.churn_interval_s, self._churn)
 
 

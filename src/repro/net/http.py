@@ -179,9 +179,6 @@ class HttpsServer:
         channel.peer = connection.remote
         self.channels[connection.remote] = channel
 
-    def channel_for(self, peer: Endpoint) -> typing.Optional[HttpsConnection]:
-        return self.channels.get(peer)
-
     def push(self, peer: Endpoint, name: str, push_bytes: int, meta=None) -> bool:
         channel = self.channels.get(peer)
         if channel is None or not channel.ready:

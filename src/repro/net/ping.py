@@ -51,10 +51,6 @@ class PingResult:
             return 0.0
         return 1000.0 * statistics.stdev(self.rtts_s)
 
-    @property
-    def min_rtt_ms(self) -> typing.Optional[float]:
-        return 1000.0 * min(self.rtts_s) if self.rtts_s else None
-
 
 class ProbeTool:
     """Ping utilities bound to one host (a vantage point)."""

@@ -42,10 +42,6 @@ class TracerouteResult:
         return bool(self.hops) and self.hops[-1].kind == "echo-reply"
 
     @property
-    def responding_path(self) -> typing.List[IPAddress]:
-        return [hop.ip for hop in self.hops if hop.ip is not None]
-
-    @property
     def penultimate_hop(self) -> typing.Optional[IPAddress]:
         """The last router before the target (None if unreached)."""
         if not self.reached or len(self.hops) < 2:

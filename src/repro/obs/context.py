@@ -121,36 +121,39 @@ class ObsCollector:
         self.observabilities.append(obs)
         return obs
 
-    def fleet_dump(self, source: str = "") -> dict:
-        """The mergeable (fleet-form) aggregate of every collected
-        registry — what campaign workers ship for cross-worker
-        aggregation (:mod:`repro.obs.fleet`)."""
+    def _aggregate(self, source: str = ""):
         from .fleet import FleetAggregator
 
         aggregator = FleetAggregator()
         for obs in self.observabilities:
             aggregator.add_registry(obs.registry, source=source)
-        return aggregator.dump()
+        return aggregator
+
+    def fleet_dump(self, source: str = "") -> dict:
+        """The mergeable (fleet-form) aggregate of every collected
+        registry — what campaign workers ship for cross-worker
+        aggregation (:mod:`repro.obs.fleet`)."""
+        return self._aggregate(source).dump()
 
     def merged_dump(self) -> dict:
         """A single-simulation-shaped dump; most tasks build exactly one
-        Simulator, and for those this is just its dump."""
+        Simulator, and for those this is just its dump.  Several
+        simulations' registries are folded into one, so each metric is
+        listed once (counters add, histograms merge), and their trace
+        events are concatenated."""
         if len(self.observabilities) == 1:
             return self.observabilities[0].dump()
-        metrics = {"counters": [], "gauges": [], "histograms": []}
         events: typing.List[dict] = []
         dropped = 0
         dropped_by_kind: typing.Dict[str, int] = {}
         for obs in self.observabilities:
-            sub = obs.dump()
-            for kind in metrics:
-                metrics[kind].extend(sub["metrics"][kind])
-            events.extend(sub["trace"]["events"])
-            dropped += sub["trace"]["dropped"]
-            for kind, count in sub["trace"].get("dropped_by_kind", {}).items():
+            sub = obs.tracer.dump()
+            events.extend(sub["events"])
+            dropped += sub["dropped"]
+            for kind, count in sub.get("dropped_by_kind", {}).items():
                 dropped_by_kind[kind] = dropped_by_kind.get(kind, 0) + count
         return {
-            "metrics": metrics,
+            "metrics": self._aggregate().merged_registry().dump(),
             "trace": {
                 "events": events,
                 "dropped": dropped,

@@ -179,20 +179,15 @@ class LivePlane:
                 }
             if event in _TERMINAL_TASK_EVENTS:
                 self._running.discard(record.get("task", "?"))
-            self._append_event(dict(record))
+            self._events.append((self._next_event_id, dict(record)))
+            self._next_event_id += 1
+            self._cond.notify_all()
 
     def fold(self, registry_dump: typing.Optional[dict]) -> None:
         """Fold one unit's mergeable registry dump into ``/metrics``."""
         if registry_dump:
             with self._lock:
                 self.aggregator.add_dump(registry_dump)
-
-    def _append_event(self, record: dict) -> None:
-        """Buffer one SSE event; caller holds the lock."""
-        record.pop("registry", None)  # never stream dump payloads
-        self._events.append((self._next_event_id, record))
-        self._next_event_id += 1
-        self._cond.notify_all()
 
     # ------------------------------------------------------------------
     # Reading (called by the HTTP handler threads)

@@ -17,7 +17,9 @@ measurement (Sec. 7).
 :class:`LightweightPeer` is a crowd participant whose uplink is
 injected directly at the server (its own access network is irrelevant
 to anything measurable at the observed user's AP); the server still
-forwards full traffic to observed clients.
+forwards full traffic to observed clients.  Every crowd is built from
+peers (fixed rooms, churning public events, flash crowds), and their
+update timers share the simulator's tick scheduler.
 """
 
 from __future__ import annotations
@@ -976,9 +978,13 @@ class LightweightPeer:
         self.server = None
 
     def start(self, join_at: float) -> None:
-        self.sim.schedule_at(join_at, self._join)
+        self.sim.schedule_at(join_at, self.join)
 
-    def _join(self) -> None:
+    def join(self) -> None:
+        """Enter the room now and start the update timer, phased at the
+        join.  A full room raises
+        :class:`~repro.server.rooms.RoomFullError` before any timer
+        starts."""
         # Bind to the first data server instance; unobserved members
         # never receive real packets, so instance choice is cosmetic.
         if self.profile.data.transport == UDP_TRANSPORT:

@@ -1,4 +1,4 @@
-"""repro.scale — hybrid-fidelity fluid simulation for metaverse scale.
+"""repro.scale — fluid simulation for metaverse scale.
 
 The packet engine (``repro.platforms`` + ``repro.net``) is calibrated
 and validated at the paper's room sizes (2-28 users); this package
@@ -8,8 +8,6 @@ projects the same calibration to 10^4-10^6 concurrent users:
   server architecture, byte-exact against the packet engine,
 * :mod:`.fluid` — piecewise-constant rate functions through fluid
   queues (capacity, backlog, loss) plus the churn occupancy process,
-* :mod:`.hybrid` — packet-level observed stations with a fluid crowd
-  behind the same server (one process per room, not per attendee),
 * :mod:`.shard` — fan thousands of rooms across the
   :mod:`repro.runner` campaign executor with per-room deterministic
   seeding,
@@ -37,7 +35,6 @@ _EXPORTS = {
     "churn_occupancy": ".fluid",
     "fluid_queue": ".fluid",
     "simulate_room": ".fluid",
-    "FluidCrowd": ".hybrid",
     "ScaleResult": ".shard",
     "ScaleScenario": ".shard",
     "metaverse_scale_experiment": ".shard",

@@ -64,10 +64,6 @@ class CapacityPlan:
     def usd_per_ccu_hour(self) -> float:
         return self.usd_per_hour / max(1, self.total_users)
 
-    @property
-    def total_servers(self) -> int:
-        return self.servers + self.gpu_servers
-
 
 def _servers_for(model: RoomModel, n_rooms: int) -> typing.Tuple[int, int]:
     """(relay/session servers, GPU servers) to host ``n_rooms`` rooms."""

@@ -11,7 +11,6 @@ bitrate set by resolution/FPS, regardless of room population.
 from __future__ import annotations
 
 import dataclasses
-import typing
 
 from ..net.address import Endpoint
 from ..net.node import Host
@@ -53,14 +52,12 @@ class RemoteRenderingServer:
         rooms: RoomRegistry,
         quality: VideoQuality = HD_QUALITY,
         port: int = 8888,
-        render_ms_per_user: float = 4.0,
     ) -> None:
         self.sim = sim
         self.host = host
         self.rooms = rooms
         self.quality = quality
         self.port = port
-        self.render_ms_per_user = render_ms_per_user
         self.socket = UdpSocket(host, port, on_datagram=self._on_datagram)
         self.endpoint = Endpoint(host.ip, port)
         self._subscribers: dict[str, dict] = {}
@@ -73,14 +70,8 @@ class RemoteRenderingServer:
         """Start streaming rendered frames to ``endpoint``."""
         if user_id in self._subscribers:
             return
-        state = {"endpoint": endpoint, "room_id": room_id, "active": True}
-        self._subscribers[user_id] = state
+        self._subscribers[user_id] = {"endpoint": endpoint, "room_id": room_id}
         self.sim.schedule(1.0 / self.quality.fps, self._send_frame, user_id)
-
-    def unsubscribe(self, user_id: str) -> None:
-        state = self._subscribers.pop(user_id, None)
-        if state is not None:
-            state["active"] = False
 
     def _on_datagram(self, src: Endpoint, payload_bytes: int, payload) -> None:
         if isinstance(payload, tuple) and payload and payload[0] == "rr-subscribe":
@@ -91,26 +82,13 @@ class RemoteRenderingServer:
     # Streaming
     # ------------------------------------------------------------------
     def _send_frame(self, user_id: str) -> None:
-        state = self._subscribers.get(user_id)
-        if state is None or not state["active"]:
-            return
+        state = self._subscribers[user_id]
         frame_bytes = int(self.quality.bitrate_bps / self.quality.fps / 8)
         self.frames_sent += 1
         self.socket.send_to(
             state["endpoint"], frame_bytes, ("video-frame", self.sim.now)
         )
         self.sim.schedule(1.0 / self.quality.fps, self._send_frame, user_id)
-
-    # ------------------------------------------------------------------
-    # Capacity analysis helpers (Sec. 6.3 discussion)
-    # ------------------------------------------------------------------
-    def per_viewer_downlink_mbps(self, _n_users: int) -> float:
-        """Downlink per viewer: independent of the number of users."""
-        return self.quality.mbps
-
-    def server_render_load_ms(self, n_users: int) -> float:
-        """Per-frame server render time: one scene per user's viewport."""
-        return self.render_ms_per_user * n_users
 
 
 def forwarding_downlink_mbps(avatar_kbps: float, n_users: int) -> float:

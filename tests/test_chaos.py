@@ -15,8 +15,10 @@ from repro.chaos import (
     run_chaos_cell,
     scenario_index,
 )
+from repro.chaos.inject import FaultInjector
 from repro.cli import main
 from repro.core.findings import CHAOS_FINDING_BASE
+from repro.measure.session import Testbed
 from repro.net.address import Endpoint, IPAddress
 from repro.net.packet import Packet, Protocol
 from repro.server.placement import (
@@ -142,6 +144,28 @@ def test_link_flap_cell_produces_passing_verdict():
     assert finding.number == CHAOS_FINDING_BASE + scenario_index("link-flap")
     assert finding.passed is verdict.passed
     assert finding.evidence == verdict.evidence
+
+
+def test_a_flash_crowd_fills_the_room_then_leaves_only_the_stations():
+    """Worlds caps a room at 16: two stations leave 14 crowd slots."""
+    testbed = Testbed("worlds", n_users=2, seed=0)
+    testbed.start_all(join_at=2.0)
+    injector = FaultInjector(testbed, get_scenario("flash-crowd"), "mild")
+    fault_at = 12.0
+    heal_at = injector.arm(fault_at)
+    room = testbed.deployment.rooms.room(testbed.room_id)
+    stations = {station.user_id for station in testbed.stations}
+
+    testbed.run(until=fault_at)
+    assert set(room.members) == stations
+    station_timers = len(testbed.sim.ticks)
+    testbed.run(until=heal_at - 1.0)
+    assert len(room) == room.capacity == 16
+    assert injector.crowd_attempted == 1000
+    assert injector.rejected_users == injector.crowd_attempted - 14
+    testbed.run(until=heal_at + 1.0)
+    assert set(room.members) == stations
+    assert len(testbed.sim.ticks) == station_timers
 
 
 def test_build_chaos_plan_prunes_undefined_intensity_pairs():

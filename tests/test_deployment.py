@@ -5,6 +5,7 @@ import pytest
 from repro.measure.session import Testbed
 from repro.platforms.profiles import get_profile
 from repro.server.forwarding import DATA_PORT
+from repro.server.rooms import RoomFullError
 
 
 def test_udp_platform_endpoints():
@@ -86,6 +87,33 @@ def test_lightweight_peer_stop_leaves_room():
     peers[0].stop()
     testbed.run(until=12.0)
     assert "peer-1" not in room.members
+
+
+def test_a_rejected_peer_leaves_nothing_behind():
+    testbed = Testbed("worlds", n_users=1)
+    room = testbed.deployment.rooms.room(testbed.room_id)
+    testbed.add_peers(room.capacity)
+    members, timers = dict(room.members), len(testbed.sim.ticks)
+    with pytest.raises(RoomFullError):
+        testbed.add_peers(1)
+    assert room.members == members
+    assert len(testbed.peers) == room.capacity == timers
+    assert len(testbed.sim.ticks) == timers
+
+
+def test_a_stopped_peer_holds_no_timer_and_keeps_its_id():
+    testbed = Testbed("vrchat", n_users=1)
+    room = testbed.deployment.rooms.room(testbed.room_id)
+    first, second = testbed.add_peers(2)
+    testbed.run(until=1.0)
+    first.stop()
+    assert first.user_id not in room.members
+    assert len(testbed.sim.ticks) == 1
+    (third,) = testbed.add_peers(1)
+    assert set(room.members) == {second.user_id, third.user_id}
+    assert len({first.user_id, second.user_id, third.user_id}) == 3
+    testbed.run(until=2.0)
+    assert len(testbed.sim.ticks) == 2
 
 
 def test_worlds_load_balances_two_users():

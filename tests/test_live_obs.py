@@ -142,6 +142,28 @@ def test_sse_tail_with_limit():
     assert "bucket_counts" not in body
 
 
+def test_sse_frames_equal_the_telemetry_records(tmp_path):
+    """``campaign_index`` keeps its ``registry`` path on the stream."""
+    plan = CampaignPlan.from_matrix(["live-tiny"], seeds=[0])
+    telemetry_path = str(tmp_path / "telemetry.jsonl")
+    with live_server(port=0) as server:
+        run_campaign(
+            plan, parallel=False, cache_dir=None, telemetry_path=telemetry_path,
+            metrics_dir=str(tmp_path / "metrics"),
+        )
+        with open(telemetry_path) as handle:
+            records = [json.loads(line) for line in handle]
+        body = _get(server.url + f"/events?limit={len(records)}")
+    frames = [
+        json.loads(line[len("data: "):])
+        for line in body.splitlines()
+        if line.startswith("data: ")
+    ]
+    assert frames == records
+    (index,) = [frame for frame in frames if frame["event"] == "campaign_index"]
+    assert index["registry"].endswith(REGISTRY_FILENAME)
+
+
 def test_sse_since_resumes_after_an_id():
     plan = CampaignPlan.from_matrix(["live-tiny"], seeds=[0])
     with live_server(port=0) as server:

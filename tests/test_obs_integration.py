@@ -122,6 +122,30 @@ def test_kernel_counts_dispatched_events():
     assert registry.value("sim.now") == pytest.approx(0.5)
 
 
+def test_a_dump_of_two_simulations_lists_each_metric_once():
+    with collect() as collector:
+        for n_events in (3, 4):
+            sim = Simulator(seed=1)
+            for index in range(n_events):
+                sim.schedule(0.1 * (index + 1), lambda: None)
+            sim.run()
+    dump = collector.merged_dump()
+    assert dump["n_simulations"] == 2
+    metrics = dump["metrics"]
+    for kind in ("counters", "gauges", "histograms"):
+        keys = [
+            (entry["name"], tuple(sorted(entry["labels"].items())))
+            for entry in metrics[kind]
+        ]
+        assert len(keys) == len(set(keys)), kind
+    dispatched = [
+        c["value"] for c in metrics["counters"] if c["name"] == "sim.events_dispatched"
+    ]
+    assert dispatched == [7.0]
+    walls = [h for h in metrics["histograms"] if h["name"] == "sim.callback_wall_s"]
+    assert sum(h["count"] for h in walls) == 7
+
+
 def test_kernel_counts_cancelled_events():
     with collect() as collector:
         sim = Simulator(seed=1)

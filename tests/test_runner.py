@@ -341,6 +341,50 @@ def test_per_task_timeout_reclaims_the_worker():
     assert any("timeout" in event["reason"] for event in fails)
 
 
+def test_a_broken_pool_is_drained_through_the_normal_bookkeeping():
+    """``_rebuild`` collects what the broken pool's futures hold: a unit
+    that returned keeps its result, a crash on the last attempt fails
+    its unit, and a crash on an earlier attempt requeues it."""
+    import collections
+    import math
+    from concurrent.futures import Future
+    from concurrent.futures.process import BrokenProcessPool
+
+    from repro.runner.executor import CampaignExecutor, _Attempt, _WorkerReply
+
+    class StubPool:
+        shut_down = False
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            self.shut_down = True
+
+    units = [[TaskSpec.create("stub-sleep", {}, seed=seed)] for seed in range(3)]
+    returned, crashed_last, crashed_early = Future(), Future(), Future()
+    returned.set_result(_WorkerReply(worker_pid=1, wall_time_s=0.5, results=["value"]))
+    crashed_last.set_exception(BrokenProcessPool("worker died"))
+    crashed_early.set_exception(BrokenProcessPool("worker died"))
+    inflight = {
+        returned: (_Attempt(0, units[0]), math.inf),
+        crashed_last: (_Attempt(1, units[1], attempt=2), math.inf),
+        crashed_early: (_Attempt(2, units[2], attempt=1), math.inf),
+    }
+    finished, pending = collections.deque(), collections.deque()
+    executor = CampaignExecutor(max_workers=2, max_retries=1, backoff_s=0.0)
+    pool = StubPool()
+    new_pool = executor._rebuild(pool, inflight, finished, pending, TelemetryWriter())
+    try:
+        assert pool.shut_down
+        assert new_pool is not pool and not inflight
+        results = dict(finished)
+        assert sorted(results) == [0, 1]
+        assert [(r.status, r.value) for r in results[0]] == [("ok", "value")]
+        assert [r.status for r in results[1]] == ["failed"]
+        assert "worker-crash" in results[1][0].error
+        assert [(attempt.index, attempt.attempt) for attempt in pending] == [(2, 2)]
+    finally:
+        new_pool.shutdown()
+
+
 def test_a_parallel_run_leaves_no_pool_thread_behind():
     """``run`` joins its pool's manager thread before it returns; one
     still closing its wakeup pipe races interpreter exit."""

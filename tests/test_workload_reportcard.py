@@ -29,6 +29,21 @@ def test_crowd_churn_validation():
         CrowdChurn(testbed, target_users=1)
 
 
+def test_a_departed_attendee_holds_no_timer_and_is_out_of_the_room():
+    testbed = Testbed("vrchat", n_users=1)
+    churn = CrowdChurn(
+        testbed, target_users=6, churn_interval_s=1.0, churn_probability=1.0
+    )
+    churn.start(1.0)
+    testbed.run(until=40.0)
+    room = testbed.deployment.rooms.room(testbed.room_id)
+    departed = [peer for peer in testbed.peers if peer not in churn.crowd]
+    assert departed and len(testbed.peers) > churn.target_users - 1
+    assert set(room.members) == {peer.user_id for peer in churn.crowd}
+    # No station runs, so every live tick timer is an attendee's.
+    assert len(testbed.sim.ticks) == len(churn.crowd)
+
+
 def test_workrooms_extension_profile():
     profile = get_profile("workrooms")
     assert profile.name == "workrooms"
