@@ -3,10 +3,10 @@
 The package simulates the five social VR platforms the paper measured
 (AltspaceVR, Horizon Worlds, Mozilla Hubs, Rec Room, VRChat) on a
 packet-level network substrate, and implements the paper's measurement
-methodology as the core library: channel classification, infrastructure
+methodology on top of it: channel classification, infrastructure
 probing with anycast inference, throughput and avatar-data separation,
-scalability sweeps, end-to-end latency breakdown, and netem-style
-network-disruption experiments.
+scalability sweeps, end-to-end latency with its breakdown, and
+netem-style network-disruption experiments.
 
 Quickstart::
 

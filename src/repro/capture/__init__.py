@@ -6,14 +6,11 @@ _EXPORTS = {
     "CONTROL": ".classify",
     "DATA": ".classify",
     "ClassifiedFlow": ".classify",
-    "channel_flows": ".classify",
     "channel_records": ".classify",
     "classify_by_activity": ".classify",
-    "classify_by_protocol": ".classify",
     "protocol_label": ".classify",
     "Flow": ".flows",
     "FlowTable": ".flows",
-    "StreamingFlowTable": ".flows",
     "PcapPacket": ".pcap",
     "export_sniffer": ".pcap",
     "read_pcap": ".pcap",

@@ -1,16 +1,18 @@
 """Control- vs data-channel classification (Sec. 4.1).
 
 The paper separates each platform's traffic into a control channel and a
-data channel using two signals observable at the AP:
+data channel using two signals:
 
-1. *Protocol and endpoint*: HTTPS (TCP/443) flows versus UDP/RTP flows,
-   terminating at servers with different owners, locations, or
-   hostnames.
-2. *Activity phase*: control channels are busiest on the welcome page,
-   data channels during social events (Fig. 2). Hubs is the exception —
-   both its channels are active during events.
-
-Both classifiers are implemented here; experiments cross-check them.
+1. *Activity phase*, observable at the AP: control channels are busiest
+   on the welcome page, data channels during social events (Fig. 2).
+   Hubs is the exception: both its channels are active during events.
+   :func:`classify_by_activity` implements this rule. It falls back on
+   the protocol (HTTPS control, UDP/RTP data) for flows too small to
+   rate, and keeps HTTPS on the control side when a UDP data plane exists.
+2. *Infrastructure*: the two channels terminate at servers with
+   different owners, locations, or hostnames. That evidence comes from
+   probing the servers (:mod:`repro.measure.infrastructure`), and
+   Finding 1 is checked on it.
 """
 
 from __future__ import annotations
@@ -46,21 +48,6 @@ def protocol_label(flow: Flow) -> str:
             return "RTP/RTCP"
         return "UDP"
     return str(flow.protocol).upper()
-
-
-def classify_by_protocol(table: FlowTable) -> typing.List[ClassifiedFlow]:
-    """Rule 1: HTTPS flows are control, UDP/RTP flows are data.
-
-    For Web-based platforms (Hubs), HTTPS flows that carry sustained
-    event-phase traffic are reclassified by the activity rule; callers
-    who know the event window should prefer :func:`classify_by_activity`.
-    """
-    out = []
-    for flow in table:
-        label = protocol_label(flow)
-        channel = CONTROL if flow.protocol is Protocol.TCP else DATA
-        out.append(ClassifiedFlow(flow, channel, label))
-    return out
 
 
 def classify_by_activity(
@@ -104,13 +91,6 @@ def classify_by_activity(
             channel = DATA if event_rate > welcome_rate else CONTROL
         out.append(ClassifiedFlow(flow, channel, label))
     return out
-
-
-def channel_flows(
-    classified: typing.Sequence[ClassifiedFlow], channel: str
-) -> typing.List[Flow]:
-    """Flows labelled with ``channel``."""
-    return [c.flow for c in classified if c.channel == channel]
 
 
 def channel_records(

@@ -98,41 +98,3 @@ class FlowTable:
 
     def largest(self, count: int = 5) -> typing.List[Flow]:
         return sorted(self.flows.values(), key=lambda f: -f.total_bytes)[:count]
-
-
-class StreamingFlowTable(FlowTable):
-    """A flow table fed incrementally from a live sniffer tap.
-
-    Maintains exactly the aggregates :class:`FlowTable` computes post
-    hoc (packet/byte counters per direction, first/last times) without
-    retaining :class:`PacketRecord` objects — each ``Flow.records`` list
-    stays empty, so per-record queries like :meth:`Flow.bytes_between`
-    are unavailable in this mode.  Register via
-    :meth:`Sniffer.stream_flows <repro.capture.sniffer.Sniffer.stream_flows>`.
-    """
-
-    def __init__(self) -> None:
-        super().__init__(())
-
-    def observe(self, time: float, packet, direction: str) -> None:
-        if direction == UPLINK:
-            local_port, remote = packet.src.port, packet.dst
-        else:
-            local_port, remote = packet.dst.port, packet.src
-        key = (local_port, remote, packet.protocol)
-        flow = self.flows.get(key)
-        if flow is None:
-            flow = self.flows[key] = Flow(
-                remote=remote, protocol=packet.protocol, local_port=local_port
-            )
-        size = packet.size
-        if direction == UPLINK:
-            flow.up_packets += 1
-            flow.up_bytes += size
-        else:
-            flow.down_packets += 1
-            flow.down_bytes += size
-        if time < flow.first_time:
-            flow.first_time = time
-        if time > flow.last_time:
-            flow.last_time = time

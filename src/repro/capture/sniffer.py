@@ -12,11 +12,11 @@ Two capture modes coexist:
   in :attr:`Sniffer.records` — required for pcap export, flow
   classification, and per-record latency analysis.
 * **Streaming** (``retain_records=False``): consumers register
-  accumulators up front (:meth:`Sniffer.stream_bins`,
-  :meth:`Sniffer.stream_flows`) and the tap feeds them directly, so a
-  long scalability run needs O(bins + flows) memory instead of holding
-  millions of record objects.  The streamed results are byte-identical
-  to their post-hoc equivalents.  Both modes can be combined.
+  throughput bins up front (:meth:`Sniffer.stream_bins`) and the tap
+  feeds them directly, so a long scalability run needs O(bins) memory
+  instead of holding millions of record objects.  The streamed series
+  is bit-identical to :func:`~repro.capture.timeseries.throughput_series`
+  over the retained records.  Both modes can be combined.
 """
 
 from __future__ import annotations
@@ -66,8 +66,6 @@ class Sniffer:
         self.enabled = True
         #: (direction filter, BinAccumulator.add) pairs fed by the tap.
         self._bin_streams: typing.List[tuple] = []
-        #: Streaming flow tables fed by the tap.
-        self._flow_streams: typing.List[object] = []
 
     @property
     def records(self) -> typing.List[PacketRecord]:
@@ -99,14 +97,6 @@ class Sniffer:
         self._bin_streams.append((direction, accumulator.add))
         return accumulator
 
-    def stream_flows(self):
-        """Register a live :class:`~repro.capture.flows.StreamingFlowTable`."""
-        from .flows import StreamingFlowTable
-
-        table = StreamingFlowTable()
-        self._flow_streams.append(table)
-        return table
-
     # ------------------------------------------------------------------
     # Capture
     # ------------------------------------------------------------------
@@ -129,8 +119,6 @@ class Sniffer:
                 for want, add in self._bin_streams:
                     if want is None or want == direction:
                         add(time, size)
-            for table in self._flow_streams:
-                table.observe(time, packet, direction)
             if retain:
                 records_append(
                     PacketRecord(

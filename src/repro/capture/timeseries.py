@@ -59,30 +59,22 @@ def throughput_series(
     bin_s: float = 1.0,
 ) -> ThroughputSeries:
     """Bin ``records`` into a throughput series over [start, end)."""
-    if end <= start:
-        raise ValueError(f"end ({end}) must exceed start ({start})")
-    n_bins = int(np.ceil((end - start) / bin_s))
-    bits = np.zeros(n_bins)
+    accumulator = BinAccumulator(start, end, bin_s)
+    add = accumulator.add
     for record in records:
-        if start <= record.time < end:
-            index = int((record.time - start) / bin_s)
-            if index >= n_bins:
-                index = n_bins - 1
-            bits[index] += record.size * 8
-    times = start + (np.arange(n_bins) + 0.5) * bin_s
-    return ThroughputSeries(times, bits, bin_s)
+        add(record.time, record.size)
+    return accumulator.series()
 
 
 class BinAccumulator:
-    """Streaming twin of :func:`throughput_series`.
+    """Throughput bins over [start, end), fed one packet at a time.
 
-    Fed one packet at a time (via :meth:`Sniffer.stream_bins
-    <repro.capture.sniffer.Sniffer.stream_bins>`) instead of from a
-    retained record list, so long captures need O(bins) memory instead
-    of O(packets).  Binning uses the exact same index arithmetic as
-    :func:`throughput_series`, and per-bin sums are exact integer bit
-    counts either way — the resulting :class:`ThroughputSeries` is
-    byte-identical to the post-hoc one.
+    This is the one binning rule: :func:`throughput_series` feeds it a
+    retained record list, and :meth:`Sniffer.stream_bins
+    <repro.capture.sniffer.Sniffer.stream_bins>` feeds it live from a
+    tap, so a long capture needs O(bins) memory instead of O(packets).
+    Per-bin sums are exact integer bit counts, so both feeds give the
+    same :class:`ThroughputSeries` bit for bit.
     """
 
     __slots__ = ("start", "end", "bin_s", "n_bins", "_bits")

@@ -21,7 +21,7 @@ import operator
 import typing
 
 from ..measure.session import Testbed, download_drain_s
-from ..obs.context import MetricsOnlyObservability, active_collector
+from ..obs.context import Observability, active_collector
 from ..platforms.profiles import PLATFORM_NAMES
 from ..qoe.streams import QoeProbe
 from ..runner import CampaignPlan, TelemetryWriter, run_campaign
@@ -81,7 +81,7 @@ def run_scenario_unit(
     # metrics_dir, CLI --profile) the collector's obs applies instead.
     # Either way the scores are identical: they derive only from
     # sim-deterministic metric values.
-    obs = None if active_collector() is not None else MetricsOnlyObservability()
+    obs = None if active_collector() is not None else Observability(trace=False)
     testbed = Testbed(platform, n_users=n_users, seed=seed, obs=obs)
     testbed.start_all(join_at=JOIN_AT_S)
     probe = QoeProbe(testbed)

@@ -1051,9 +1051,13 @@ def _cmd_report(args) -> int:
 def _cmd_public_event(args) -> int:
     from .measure.workload import run_public_event
 
-    result = run_public_event(
-        _platform(args.platform), target_users=args.users, duration_s=args.duration
-    )
+    try:
+        result = run_public_event(
+            _platform(args.platform), target_users=args.users, duration_s=args.duration
+        )
+    except ValueError as exc:  # no churn in the window, or a bad --users/--duration
+        print(exc.args[0], file=sys.stderr)
+        return 2
     rows = [
         [f"{s.time_s:.0f}", s.occupants, f"{s.down_kbps:.0f}"]
         for s in result.samples[:: max(1, len(result.samples) // 12)]

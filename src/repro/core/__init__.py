@@ -7,12 +7,7 @@ _EXPORTS = {
     "VantageProbe": ".anycast",
     "infer_anycast": ".anycast",
     "BreakdownSample": ".breakdown",
-    "breakdown_consistent": ".breakdown",
     "compute_breakdown": ".breakdown",
-    "dominant_component": ".breakdown",
-    "ChannelEvidence": ".channels",
-    "ChannelSeparationReport": ".channels",
-    "analyze_channels": ".channels",
     "Finding": ".findings",
     "check_finding_1_channels": ".findings",
     "check_finding_2_throughput": ".findings",
@@ -24,9 +19,6 @@ _EXPORTS = {
     "compare_architectures": ".remote_rendering",
     "forwarding_crossover": ".remote_rendering",
     "run_remote_rendering_ablation": ".remote_rendering",
-    "AvatarSeparation": ".separation",
-    "expected_avatar_kbps": ".separation",
-    "separate": ".separation",
     "SolutionPoint": ".solutions",
     "compare_solutions": ".solutions",
     "forwarding_reference": ".solutions",

@@ -10,7 +10,6 @@ network, server, and receiver components exactly as the paper does.
 from __future__ import annotations
 
 import dataclasses
-import typing
 
 
 @dataclasses.dataclass(frozen=True)
@@ -41,6 +40,10 @@ def compute_breakdown(
     * network = ping-estimated one-way transit on both legs,
     * server  = AP-to-AP time minus the network estimate,
     * receiver = packet at the receiver's AP -> displayed frame.
+
+    The server component subtracts the two legs one at a time rather
+    than their sum: the two orders can differ in the last bit, and the
+    recorded Table 4 and Fig. 11 results use this one.
     """
     if uplink_packet_at < action_at:
         raise ValueError("uplink packet precedes the action")
@@ -50,7 +53,7 @@ def compute_breakdown(
         raise ValueError("display precedes the downlink packet")
     sender = uplink_packet_at - action_at
     network = uplink_one_way_s + downlink_one_way_s
-    server = (downlink_packet_at - uplink_packet_at) - network
+    server = (downlink_packet_at - uplink_packet_at) - uplink_one_way_s - downlink_one_way_s
     receiver = displayed_at - downlink_packet_at
     return BreakdownSample(
         sender_ms=sender * 1000.0,
@@ -58,26 +61,3 @@ def compute_breakdown(
         server_ms=server * 1000.0,
         receiver_ms=receiver * 1000.0,
     )
-
-
-def breakdown_consistent(
-    sample: BreakdownSample, e2e_ms: float, tolerance_ms: float = 25.0
-) -> bool:
-    """Do the components account for the frame-method E2E measurement?
-
-    The paper's own Table 4 rows differ from the component sum by up to
-    ~11 ms (frame-capture quantization); the default tolerance allows
-    for that class of error.
-    """
-    return abs(sample.total_ms - e2e_ms) <= tolerance_ms
-
-
-def dominant_component(sample: BreakdownSample) -> str:
-    """Which stage dominates this sample's latency."""
-    parts = {
-        "sender": sample.sender_ms,
-        "network": sample.network_ms,
-        "server": sample.server_ms,
-        "receiver": sample.receiver_ms,
-    }
-    return max(parts, key=parts.get)

@@ -164,20 +164,7 @@ def run_downlink_disruption(
     seed: int = 0,
 ) -> DisruptionRun:
     """Fig. 12: staged downlink bandwidth limits during a game."""
-    testbed = _game_testbed(platform, seed)
-    stages = []
-    t = SETTLE_S + 2.0
-    for rate in stages_mbps:
-        testbed.sim.schedule_at(
-            t, testbed.u1.netem_down.configure, rate * 1e6, 0.0, 0.0, None
-        )
-        stages.append((f"{rate}", t, t + STAGE_S))
-        t += STAGE_S
-    testbed.sim.schedule_at(t, testbed.u1.netem_down.clear)
-    stages.append(("N", t, t + RECOVERY_S))
-    end = t + RECOVERY_S
-    testbed.run(until=end)
-    return _collect(testbed, "downlink-bandwidth", stages, end)
+    return _run_bandwidth_stages(platform, stages_mbps, seed, DOWNLINK)
 
 
 def run_uplink_disruption(
@@ -186,20 +173,26 @@ def run_uplink_disruption(
     seed: int = 0,
 ) -> DisruptionRun:
     """Fig. 13 (top): staged uplink bandwidth limits during a game."""
+    return _run_bandwidth_stages(platform, stages_mbps, seed, UPLINK)
+
+
+def _run_bandwidth_stages(
+    platform: str, stages_mbps: typing.Sequence[float], seed: int, direction: str
+) -> DisruptionRun:
+    """Limit U1's ``direction`` bandwidth stage by stage, then recover."""
     testbed = _game_testbed(platform, seed)
+    netem = testbed.u1.netem_down if direction == DOWNLINK else testbed.u1.netem_up
     stages = []
     t = SETTLE_S + 2.0
     for rate in stages_mbps:
-        testbed.sim.schedule_at(
-            t, testbed.u1.netem_up.configure, rate * 1e6, 0.0, 0.0, None
-        )
+        testbed.sim.schedule_at(t, netem.configure, rate * 1e6, 0.0, 0.0, None)
         stages.append((f"{rate}", t, t + STAGE_S))
         t += STAGE_S
-    testbed.sim.schedule_at(t, testbed.u1.netem_up.clear)
+    testbed.sim.schedule_at(t, netem.clear)
     stages.append(("N", t, t + RECOVERY_S))
     end = t + RECOVERY_S
     testbed.run(until=end)
-    return _collect(testbed, "uplink-bandwidth", stages, end)
+    return _collect(testbed, f"{direction}link-bandwidth", stages, end)
 
 
 def run_tcp_uplink_control(

@@ -58,7 +58,7 @@ def probe_infrastructure(platform: str, seed: int = 0) -> InfrastructureReport:
     # Stations: one per vantage plus a second east-coast user for the
     # same-server check (the paper's two co-located test users).
     locations = list(VANTAGE_SITES) + [EAST_US]
-    testbed = Testbed(platform, n_users=len(locations), user_locations=locations)
+    testbed = Testbed(platform, n_users=len(locations), user_locations=locations, seed=seed)
     east_index = locations.index(EAST_US)
     campaign = _ProbeCampaign(testbed, east_index)
     profile = testbed.profile

@@ -20,6 +20,7 @@ import dataclasses
 import typing
 
 from ..capture.sniffer import DOWNLINK, UPLINK
+from ..core.breakdown import compute_breakdown
 from ..net.ping import ProbeTool
 from .session import Testbed, download_drain_s
 from .stats import Summary, summarize
@@ -52,9 +53,8 @@ def measure_latency(
     n_actions: int = 20,
     n_users: int = 2,
     seed: int = 0,
-    breakdown: bool = True,
 ) -> LatencyBreakdown:
-    """Measure E2E latency (and its breakdown) between U1 and U2.
+    """Measure E2E latency and its breakdown between U1 and U2.
 
     Extra users beyond two join as lightweight crowd peers, matching
     the Fig. 11 scaling experiments. The paper notes the breakdown
@@ -118,10 +118,11 @@ def measure_latency(
             0.0, CLOCK_SYNC_STD_MS / 1000.0
         )
         e2e = (shown["display_at"] + capture_quantization + sync_error) - t0
+        sample = compute_breakdown(t0, t_up, t_down, shown["display_at"], up_leg, down_leg)
         e2e_ms.append(e2e * 1000.0)
-        sender_ms.append((t_up - t0) * 1000.0)
-        server_ms.append(((t_down - t_up) - up_leg - down_leg) * 1000.0)
-        receiver_ms.append((shown["display_at"] - t_down) * 1000.0)
+        sender_ms.append(sample.sender_ms)
+        server_ms.append(sample.server_ms)
+        receiver_ms.append(sample.receiver_ms)
 
     return LatencyBreakdown(
         platform=testbed.profile.name,

@@ -101,7 +101,11 @@ def run_public_event(
     bin_s: float = 5.0,
     seed: int = 0,
 ) -> PublicEventResult:
-    """Attend a churning public event and regress downlink on occupancy."""
+    """Attend a churning public event and regress downlink on occupancy.
+
+    Raises :class:`ValueError` when the occupancy never changes in the
+    measurement window: one occupancy gives no per-user slope to fit.
+    """
     testbed = Testbed(platform, n_users=1, seed=seed, retain_records=False)
     join_at = 2.0
     start = join_at + 10.0 + download_drain_s(testbed.profile)
@@ -126,6 +130,13 @@ def run_public_event(
     samples = []
     for (when, occupants), kbps in zip(occupancy_log, series.kbps):
         samples.append(OccupancySample(when, occupants, float(kbps)))
+    occupancies = {s.occupants for s in samples}
+    if len(occupancies) == 1:
+        raise ValueError(
+            f"{testbed.profile.name}: occupancy stayed at {occupancies.pop()} over the "
+            f"{start:.0f}-{end:.0f} s window, so there is no churn to fit a per-user "
+            "downlink on; measure for longer"
+        )
     fit = linear_fit(
         [s.occupants for s in samples], [s.down_kbps for s in samples]
     )

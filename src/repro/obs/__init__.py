@@ -36,7 +36,6 @@ from .._lazy import lazy_exports
 
 _EXPORTS = {
     "NULL_OBS": ".context",
-    "MetricsOnlyObservability": ".context",
     "ObsCollector": ".context",
     "Observability": ".context",
     "active_collector": ".context",

@@ -88,11 +88,6 @@ class Observability:
         return {"metrics": self.registry.dump(), "trace": self.tracer.dump()}
 
 
-def MetricsOnlyObservability() -> Observability:
-    """A metrics-only bundle: ``Observability(trace=False)``."""
-    return Observability(trace=False)
-
-
 #: Shared disabled observability — the default for every Simulator.
 NULL_OBS = Observability(trace=False, registry=NULL_REGISTRY)
 

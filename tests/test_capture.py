@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.capture.flows import FlowTable
 from repro.capture.sniffer import DOWNLINK, PacketRecord, Sniffer, UPLINK
 from repro.capture.timeseries import average_kbps, correlation, throughput_series
+from repro.measure.session import Testbed
 from repro.net.address import Endpoint, IPAddress
 from repro.net.packet import Protocol
 from repro.net.udp import UdpSocket
@@ -148,3 +149,26 @@ def test_binning_conserves_bytes(times):
     records = [_record(t, size=100) for t in times]
     series = throughput_series(records, 0.0, 10.0, bin_s=1.0)
     assert series.bits_per_bin.sum() == pytest.approx(len(times) * 800)
+
+
+def test_streamed_bins_equal_the_series_of_the_retained_records():
+    """A real two-user capture in both modes: the tap's live bins equal
+    ``throughput_series`` over the kept records, bit for bit, per
+    direction and for both (the last bin is a partial one)."""
+    testbed = Testbed("vrchat", n_users=2, seed=0)
+    sniffer = testbed.u1.sniffer
+    start, end = 12.3, 41.9
+    streams = {
+        direction: sniffer.stream_bins(start, end, bin_s=1.0, direction=direction)
+        for direction in (UPLINK, DOWNLINK, None)
+    }
+    testbed.start_all(join_at=2.0)
+    testbed.run(until=45.0)
+    for direction, stream in streams.items():
+        records = [r for r in sniffer.records if direction in (None, r.direction)]
+        expected = throughput_series(records, start, end, bin_s=1.0)
+        streamed = stream.series()
+        assert expected.bits_per_bin.any()
+        assert streamed.bits_per_bin.tobytes() == expected.bits_per_bin.tobytes()
+        assert streamed.times_s.tobytes() == expected.times_s.tobytes()
+        assert stream.average_kbps() == average_kbps(records, start, end)

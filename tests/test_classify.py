@@ -3,14 +3,13 @@
 from repro.capture.classify import (
     CONTROL,
     DATA,
-    channel_flows,
     channel_records,
     classify_by_activity,
-    classify_by_protocol,
     protocol_label,
 )
 from repro.capture.flows import FlowTable
 from repro.capture.sniffer import PacketRecord, UPLINK
+from repro.measure.session import Testbed, download_drain_s
 from repro.net.address import Endpoint, IPAddress
 from repro.net.packet import Protocol
 
@@ -50,14 +49,6 @@ def test_protocol_labels():
     assert labels[8080] == "TCP"
 
 
-def test_classify_by_protocol():
-    table = _mixed_table()
-    classified = classify_by_protocol(table)
-    channel_by_port = {c.flow.remote.port: c.channel for c in classified}
-    assert channel_by_port[443] == CONTROL
-    assert channel_by_port[7777] == DATA
-
-
 def test_classify_by_activity_matches_phases():
     table = _mixed_table()
     classified = classify_by_activity(table, (0.0, 10.0), (10.0, 20.0))
@@ -88,12 +79,41 @@ def test_tiny_flows_fall_back_to_protocol_rule():
     assert classified[0].channel == CONTROL  # protocol rule, not activity
 
 
-def test_channel_flows_and_records_helpers():
+def test_channel_records_helper():
     table = _mixed_table()
     classified = classify_by_activity(table, (0.0, 10.0), (10.0, 20.0))
-    control = channel_flows(classified, CONTROL)
-    data = channel_flows(classified, DATA)
-    assert len(control) == 1 and len(data) == 1
     records = channel_records(classified, DATA)
     assert len(records) == 10
     assert records == sorted(records, key=lambda r: r.time)
+    assert {r.dst.port for r in records} == {7777}
+    assert {r.dst.port for r in channel_records(classified, CONTROL)} == {443}
+
+
+def _labels_by_channel(classified):
+    labels = {CONTROL: set(), DATA: set()}
+    for item in classified:
+        labels[item.channel].add(item.protocol_label)
+    return labels
+
+
+def test_activity_puts_vrchat_https_on_control_and_udp_on_data():
+    """A real VRChat capture: HTTPS flows are control, UDP flows data."""
+    testbed = Testbed("vrchat", n_users=2, seed=0)
+    testbed.start_all(join_at=20.0)
+    testbed.run(until=60.0)
+    table = FlowTable(testbed.u1.sniffer.records)
+    labels = _labels_by_channel(classify_by_activity(table, (2.0, 20.0), (30.0, 60.0)))
+    assert "HTTPS" in labels[CONTROL] and "HTTPS" not in labels[DATA]
+    assert "UDP" in labels[DATA] and "UDP" not in labels[CONTROL]
+
+
+def test_activity_puts_hubs_https_on_the_data_side():
+    """A real Hubs capture: the avatar WebSocket makes HTTPS data."""
+    testbed = Testbed("hubs", n_users=2, seed=0)
+    testbed.start_all(join_at=10.0)
+    drain = download_drain_s(testbed.profile)
+    testbed.run(until=10.0 + drain + 40.0)
+    table = FlowTable(testbed.u1.sniffer.records)
+    event_window = (10.0 + drain, 10.0 + drain + 40.0)
+    labels = _labels_by_channel(classify_by_activity(table, (2.0, 10.0), event_window))
+    assert "HTTPS" in labels[DATA]

@@ -1,5 +1,7 @@
 """Smoke tests for the heavier CLI subcommands."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -39,22 +41,15 @@ def test_cli_fig7_small():
 
 
 def test_cli_public_event(capsys):
-    assert (
-        main(
-            [
-                "public-event",
-                "--platform",
-                "vrchat",
-                "--users",
-                "6",
-                "--duration",
-                "60",
-            ]
-        )
-        == 0
-    )
-    out = capsys.readouterr().out
-    assert "Kbps/user" in out
+    """The 180 s default sees churn; a 60 s event sees none and exits 2."""
+    argv = ["public-event", "--platform", "vrchat", "--users", "6"]
+    assert main(argv) == 0
+    slope = re.search(r"downlink ~= ([0-9.]+) Kbps/user", capsys.readouterr().out)
+    assert slope and float(slope.group(1)) == pytest.approx(24.7, rel=0.2)
+    assert main(argv + ["--duration", "60"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.count("\n") == 1 and "occupancy stayed at 6" in captured.err
 
 
 def _status(argv) -> int:

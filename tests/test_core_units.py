@@ -1,18 +1,11 @@
-"""Unit tests for core analyses: anycast, breakdown, separation."""
+"""Unit tests for core analyses: anycast and the latency breakdown."""
 
 import pytest
 
 from repro.core.anycast import VantageProbe, infer_anycast, vantage_spread_km
-from repro.core.breakdown import (
-    breakdown_consistent,
-    compute_breakdown,
-    dominant_component,
-)
-from repro.core.separation import AvatarSeparation, expected_avatar_kbps, separate
-from repro.measure.stats import summarize
+from repro.core.breakdown import compute_breakdown
 from repro.net.address import IPAddress
 from repro.net.geo import EAST_US, MIDDLE_EAST, NORTH_US
-from repro.platforms.profiles import get_profile
 
 IP_A = IPAddress.parse("20.0.0.1")
 IP_B = IPAddress.parse("20.0.0.2")
@@ -109,46 +102,9 @@ def test_breakdown_validation():
         compute_breakdown(0.0, 1.0, 2.0, 1.5, 0.0, 0.0)
 
 
-def test_breakdown_consistency_tolerance():
-    sample = compute_breakdown(0.0, 0.02, 0.06, 0.10, 0.001, 0.001)
-    assert breakdown_consistent(sample, 100.0)
-    assert breakdown_consistent(sample, 112.0)  # the paper's own ~11 ms gap
-    assert not breakdown_consistent(sample, 150.0)
-
-
-def test_dominant_component():
-    sample = compute_breakdown(0.0, 0.01, 0.10, 0.12, 0.001, 0.001)
-    assert dominant_component(sample) == "server"
-
-
-def test_separation_arithmetic():
-    separation = AvatarSeparation(
-        platform="worlds",
-        solo_downlink_kbps=81.0,
-        joint_downlink_kbps=413.0,
-        total_downlink_kbps=413.0,
-    )
-    assert separation.avatar_kbps == pytest.approx(332.0)
-    assert separation.avatar_share == pytest.approx(332.0 / 413.0)
-    assert separation.avatar_dominates
-
-
-def test_separation_from_summaries():
-    separation = separate(
-        "vrchat",
-        solo=summarize([6.6, 6.8]),
-        joint=summarize([31.2, 31.4]),
-        total=summarize([31.2, 31.4]),
-    )
-    assert separation.avatar_kbps == pytest.approx(24.6, abs=0.2)
-
-
-def test_expected_avatar_kbps_matches_table3():
-    """First-principles rates land on the paper's Avatar column."""
-    assert expected_avatar_kbps(get_profile("vrchat")) == pytest.approx(24.7, rel=0.05)
-    assert expected_avatar_kbps(get_profile("worlds")) == pytest.approx(332.0, rel=0.05)
-
-
-def test_separation_share_clamped():
-    separation = AvatarSeparation("x", 10.0, 5.0, 20.0)
-    assert separation.avatar_share == 0.0
+def test_breakdown_subtracts_the_legs_one_at_a_time():
+    """``(t_down - t_up) - up - down`` and ``(t_down - t_up) - (up + down)``
+    differ in the last bit here; the recorded latencies use the first."""
+    sample = compute_breakdown(0.0, 0.026, 0.070, 0.110, 0.0001, 0.0001)
+    assert sample.server_ms == ((0.070 - 0.026) - 0.0001 - 0.0001) * 1000.0
+    assert sample.server_ms != ((0.070 - 0.026) - (0.0001 + 0.0001)) * 1000.0

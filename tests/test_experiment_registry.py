@@ -52,7 +52,7 @@ def test_run_experiment_with_overrides():
 def test_default_kwargs_applied():
     spec = get_experiment("public-event")
     assert spec.default_kwargs["platform"] == "vrchat"
-    result = spec.run(duration_s=60.0, target_users=6)
+    result = spec.run(duration_s=180.0, target_users=6)
     assert result.platform == "vrchat"
 
 

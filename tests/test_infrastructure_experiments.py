@@ -107,3 +107,10 @@ def test_channels_differ_between_control_and_data(reports):
         if name == "hubs":
             continue  # Hubs shares the HTTPS server; its RTP differs
         assert report.control.east_ip != report.data[0].east_ip
+
+
+def test_probing_follows_the_seed(reports):
+    """Each seed probes through its own jitter draws; the default is seed 0."""
+    other = probe_infrastructure("vrchat", seed=5)
+    assert repr(probe_infrastructure("vrchat", seed=0)) == repr(reports["vrchat"])
+    assert other.control.east_rtt.mean != reports["vrchat"].control.east_rtt.mean

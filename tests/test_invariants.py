@@ -10,7 +10,7 @@ from repro.capture.sniffer import DOWNLINK, UPLINK
 from repro.measure.session import Testbed
 from repro.net.link import Link
 from repro.net.packet import Protocol
-from repro.obs import NULL_OBS, MetricsOnlyObservability, Observability
+from repro.obs import NULL_OBS, Observability
 from repro.simcore import Simulator
 
 
@@ -166,7 +166,7 @@ def test_split_testbed_runs_match_one_run_under_every_bundle():
 
     outcomes = [
         run(make_obs, untils)
-        for make_obs in (lambda: NULL_OBS, MetricsOnlyObservability, Observability)
+        for make_obs in (lambda: NULL_OBS, lambda: Observability(trace=False), Observability)
         for untils in ([30.0], [7.5, 12.0, 12.0, 30.0])
     ]
     assert outcomes == [outcomes[0]] * 6

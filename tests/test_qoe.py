@@ -10,7 +10,7 @@ from repro.cli import main
 from repro.core.findings import QOE_FINDING_BASE
 from repro.measure.experiment import get_experiment
 from repro.measure.session import Testbed
-from repro.obs import MetricsOnlyObservability, MetricsRegistry
+from repro.obs import MetricsRegistry, Observability
 from repro.qoe import (
     DEFAULT_MODEL,
     DEGRADED_THRESHOLD,
@@ -217,7 +217,7 @@ def test_slo_report_finding_and_registry_export():
 
 
 def test_probe_scores_windows_for_every_user():
-    testbed = Testbed("vrchat", n_users=2, seed=0, obs=MetricsOnlyObservability())
+    testbed = Testbed("vrchat", n_users=2, seed=0, obs=Observability(trace=False))
     testbed.start_all(join_at=2.0)
     probe = QoeProbe(testbed)
     probe.start()
@@ -264,7 +264,7 @@ def test_qoe_collection_leaves_sim_output_byte_identical():
     change a single packet of it."""
     baseline = _session_fingerprint()
     probed = _session_fingerprint(
-        obs=MetricsOnlyObservability(), with_probe=True
+        obs=Observability(trace=False), with_probe=True
     )
     assert probed == baseline
 

@@ -3,11 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.obs import NULL_OBS, MetricsOnlyObservability, Observability
+from repro.obs import NULL_OBS, Observability
 from repro.simcore import SimulationError, Simulator
 
 #: The three observability configurations a simulator can run under.
-BUNDLES = (lambda: NULL_OBS, MetricsOnlyObservability, Observability)
+BUNDLES = (lambda: NULL_OBS, lambda: Observability(trace=False), Observability)
 
 
 def test_clock_starts_at_zero(sim):

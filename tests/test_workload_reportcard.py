@@ -23,6 +23,13 @@ def test_public_event_occupancy_churns():
     assert len(occupancies) >= 2  # attendees actually came and went
 
 
+def test_a_public_event_without_churn_raises():
+    """Seed 0's first arrival or departure comes at 152 s, so a 120 s
+    window sees one occupancy, which fits no per-user slope."""
+    with pytest.raises(ValueError, match="occupancy stayed at 10 over the 12-132 s window"):
+        run_public_event("vrchat", target_users=10, duration_s=120.0, seed=0)
+
+
 def test_crowd_churn_validation():
     testbed = Testbed("vrchat", n_users=1)
     with pytest.raises(ValueError):
